@@ -45,7 +45,9 @@ from .chow import (
     format_rational,
     parse_rational,
     tangent_chern,
+    _alternate,
     _check_keys,
+    _is_int,
     _parse_dim,
 )
 from .errors import (
@@ -107,7 +109,7 @@ class BundleData:
     total_chern: HSeries
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 0:
+        if not _is_int(self.rank) or self.rank < 0:
             raise ValidationError("bundle rank must be a non-negative integer")
         if self.total_chern.constant_term != 1:
             raise ValidationError("a total Chern class has constant term 1")
@@ -118,9 +120,7 @@ class BundleData:
 
     def dual(self) -> "BundleData":
         """Dual bundle: c_k(E*) = (-1)^k c_k(E)."""
-        coeffs = tuple(
-            c if k % 2 == 0 else -c for k, c in enumerate(self.total_chern.coeffs)
-        )
+        coeffs = _alternate(self.total_chern.coeffs)
         return BundleData(self.rank, HSeries(self.total_chern.ambient_dim, coeffs))
 
     def twist_by(self, bundle: LineBundleOnPn) -> "BundleData":
@@ -171,9 +171,9 @@ class HypersurfaceSpec:
     ambient_tangent: HSeries | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValidationError("ambient projective dimension n must be >= 1")
-        if not isinstance(self.r, int) or not 0 <= self.r < self.n:
+        if not _is_int(self.r) or not 0 <= self.r < self.n:
             raise ValidationError("need 0 <= r < n for a proper subvariety")
         object.__setattr__(self, "d", as_rational(self.d))
 

@@ -35,6 +35,11 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def as_rational(value) -> Fraction:
     """Coerce a programmatic value (Fraction, int, or literal string) exactly.
 
@@ -43,7 +48,7 @@ def as_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -52,7 +57,7 @@ def as_rational(value) -> Fraction:
 
 def parse_rational(value) -> Fraction:
     """Parse the wire form of a rational: the string "p" or "p/q" (or an int)."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(value)
     if not isinstance(value, str):
         raise InputParseError(
@@ -61,12 +66,29 @@ def parse_rational(value) -> Fraction:
     text = value.strip()
     if not _RATIONAL_RE.fullmatch(text):
         raise InputParseError(f"bad rational literal {value!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # past the interpreter's int-string digit limit
+        raise InputParseError(f"rational literal too long: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:
     """Wire form of a rational: "p" or "p/q" with q > 0 in lowest terms."""
     return str(value)
+
+
+def _encode(value):
+    """Wire form of a result: rationals as strings, objects by their
+    ``to_json``, dicts, lists and tuples entry by entry."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return value
 
 
 def _check_keys(data, required, optional=frozenset(), what="object"):
@@ -81,22 +103,135 @@ def _check_keys(data, required, optional=frozenset(), what="object"):
 
 
 def _parse_dim(value, what):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_int(value) or value < 0:
         raise InputParseError(f"{what} must be a non-negative integer")
     return value
 
 
-def _coerce_coeffs(n, values):
-    coeffs = [Fraction(0)] * (n + 1)
-    for k, v in enumerate(values):
-        if k > n:
-            break
-        coeffs[k] = as_rational(v)
-    return tuple(coeffs)
+def _check_ambient_dim(n):
+    if not _is_int(n):
+        raise ValidationError(f"ambient_dim must be an integer, got {type(n).__name__}")
+    if n < 0:
+        raise ValidationError("ambient_dim must be non-negative")
+
+
+def _convolve(a, b) -> tuple[Fraction, ...]:
+    """Truncated product of two coefficient vectors of equal length n+1:
+    entry k is the sum of a[i] * b[j] over i + j = k, for k <= n."""
+    n = len(a) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j in range(n + 1 - i):
+            y = b[j]
+            if y:
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _alternate(coeffs, shift=0) -> tuple[Fraction, ...]:
+    """Negate the entries at indices k with k + shift odd."""
+    return tuple(a if (k + shift) % 2 == 0 else -a for k, a in enumerate(coeffs))
+
+
+class _CoeffVector:
+    """The n+1 exact coefficients on P^n that HSeries and GradedClass share.
+
+    Holds validation, construction, the dimension check, the pairwise and
+    scalar operations, the JSON codec and the printed form.  A subclass
+    is a frozen dataclass with fields ``ambient_dim`` and ``coeffs``; it
+    sets ``_wire_key`` (the JSON key of the coefficient list), ``_noun``
+    and ``_what`` (its name in messages) and ``_term`` (how one nonzero
+    coefficient prints), and binds the operations it exposes to their
+    public names in its own class body: ``bench/tracer.py`` wraps them
+    per class, through the class ``__dict__``.
+    """
+
+    _wire_key: str
+    _noun: str
+    _what: str
+
+    def _validate(self):
+        n = self.ambient_dim
+        _check_ambient_dim(n)
+        coeffs = tuple(as_rational(c) for c in self.coeffs)
+        if len(coeffs) != n + 1:
+            raise ValidationError(
+                f"{self._noun} on P^{n} needs {n + 1} coefficients, got {len(coeffs)}"
+            )
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def from_coeffs(cls, ambient_dim, values):
+        """Build from coefficients by index, padding with zeros and
+        discarding indices above n."""
+        _check_ambient_dim(ambient_dim)
+        coeffs = [Fraction(0)] * (ambient_dim + 1)
+        for k, v in enumerate(values):
+            if k > ambient_dim:
+                break
+            coeffs[k] = as_rational(v)
+        return cls(ambient_dim, tuple(coeffs))
+
+    def _check_dim(self, other, kind=None):
+        kind = kind or type(self)
+        if not isinstance(other, kind):
+            raise ValidationError(
+                f"operand must be {kind.__name__}, not {type(other).__name__}"
+            )
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatchError(
+                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
+            )
+
+    def _add(self, other):
+        self._check_dim(other)
+        return type(self)(
+            self.ambient_dim, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def _sub(self, other):
+        self._check_dim(other)
+        return type(self)(
+            self.ambient_dim, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def _neg(self):
+        return type(self)(self.ambient_dim, tuple(-a for a in self.coeffs))
+
+    def _scale(self, scalar):
+        s = as_rational(scalar)
+        return type(self)(self.ambient_dim, tuple(s * a for a in self.coeffs))
+
+    def _to_json(self) -> dict:
+        return {
+            "ambient_dim": self.ambient_dim,
+            self._wire_key: [format_rational(c) for c in self.coeffs],
+        }
+
+    def _from_json(cls, data):  # each subclass binds it as a classmethod
+        _check_keys(data, {"ambient_dim", cls._wire_key}, what=cls._what)
+        n = _parse_dim(data["ambient_dim"], "ambient_dim")
+        values = data[cls._wire_key]
+        if not isinstance(values, list) or len(values) != n + 1:
+            raise InputParseError(
+                f"{cls._wire_key} must list exactly {n + 1} entries for ambient_dim {n}"
+            )
+        return cls(n, tuple(parse_rational(v) for v in values))
+
+    def __str__(self):
+        parts = [(c, self._term(k, abs(c))) for k, c in enumerate(self.coeffs) if c]
+        if not parts:
+            return "0"
+        text = parts[0][1] if parts[0][0] > 0 else "-" + parts[0][1]
+        for c, mag in parts[1:]:
+            text += (" + " if c > 0 else " - ") + mag
+        return text
 
 
 @dataclass(frozen=True)
-class HSeries:
+class HSeries(_CoeffVector):
     """A truncated polynomial in the hyperplane class H, mod H^{n+1}.
 
     coeffs[k] multiplies H^k; exactly n+1 entries are kept, since any
@@ -106,21 +241,15 @@ class HSeries:
     ambient_dim: int
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.ambient_dim < 0:
-            raise ValidationError("ambient_dim must be non-negative")
-        coeffs = tuple(as_rational(c) for c in self.coeffs)
-        if len(coeffs) != self.ambient_dim + 1:
-            raise ValidationError(
-                f"series on P^{self.ambient_dim} needs {self.ambient_dim + 1} "
-                f"coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+    _wire_key = "coeffs_by_degree"
+    _noun = _what = "series"
 
-    @classmethod
-    def from_coeffs(cls, ambient_dim, values) -> "HSeries":
-        """Build a series, padding with zeros and discarding degrees above n."""
-        return cls(ambient_dim, _coerce_coeffs(ambient_dim, values))
+    __post_init__ = _CoeffVector._validate
+    __add__ = _CoeffVector._add
+    __sub__ = _CoeffVector._sub
+    __neg__ = _CoeffVector._neg
+    to_json = _CoeffVector._to_json
+    from_json = classmethod(_CoeffVector._from_json)
 
     @classmethod
     def one(cls, ambient_dim) -> "HSeries":
@@ -130,44 +259,11 @@ class HSeries:
     def constant_term(self) -> Fraction:
         return self.coeffs[0]
 
-    def _check_dim(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatchError(
-                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
-            )
-
-    def __add__(self, other: "HSeries") -> "HSeries":
-        self._check_dim(other)
-        return HSeries(
-            self.ambient_dim,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "HSeries") -> "HSeries":
-        self._check_dim(other)
-        return HSeries(
-            self.ambient_dim,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "HSeries":
-        return HSeries(self.ambient_dim, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, HSeries):
             self._check_dim(other)
-            n = self.ambient_dim
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return HSeries(n, tuple(out))
-        scalar = as_rational(other)
-        return HSeries(self.ambient_dim, tuple(scalar * a for a in self.coeffs))
+            return HSeries(self.ambient_dim, _convolve(self.coeffs, other.coeffs))
+        return self._scale(other)
 
     __rmul__ = __mul__
 
@@ -204,83 +300,39 @@ class HSeries:
 
     def cap(self, cls: "GradedClass") -> "GradedClass":
         """Cap product with a graded class: convolution by codimension."""
-        if self.ambient_dim != cls.ambient_dim:
-            raise DimensionMismatchError(
-                f"ambient dimensions differ: {self.ambient_dim} vs {cls.ambient_dim}"
-            )
-        n = self.ambient_dim
-        out = [Fraction(0)] * (n + 1)
-        for i, s in enumerate(self.coeffs):
-            if not s:
-                continue
-            for j in range(n + 1 - i):
-                a = cls.coeffs[j]
-                if a:
-                    out[i + j] += s * a
-        return GradedClass(n, tuple(out))
+        self._check_dim(cls, GradedClass)
+        return GradedClass(self.ambient_dim, _convolve(self.coeffs, cls.coeffs))
 
-    def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "coeffs_by_degree": [format_rational(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "HSeries":
-        _check_keys(data, {"ambient_dim", "coeffs_by_degree"}, what="series")
-        n = _parse_dim(data["ambient_dim"], "ambient_dim")
-        values = data["coeffs_by_degree"]
-        if not isinstance(values, list) or len(values) != n + 1:
-            raise InputParseError(
-                f"coeffs_by_degree must list exactly {n + 1} entries for ambient_dim {n}"
-            )
-        return cls(n, tuple(parse_rational(v) for v in values))
-
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append((c, str(abs(c))))
-            else:
-                h = "H" if k == 1 else f"H^{k}"
-                mag = h if abs(c) == 1 else f"{abs(c)}{h}"
-                parts.append((c, mag))
-        if not parts:
-            return "0"
-        text = parts[0][1] if parts[0][0] > 0 else "-" + parts[0][1]
-        for c, mag in parts[1:]:
-            text += (" + " if c > 0 else " - ") + mag
-        return text
+    @staticmethod
+    def _term(k, mag):
+        if k == 0:
+            return str(mag)
+        h = "H" if k == 1 else f"H^{k}"
+        return h if mag == 1 else f"{mag}{h}"
 
 
 @dataclass(frozen=True)
-class GradedClass:
+class GradedClass(_CoeffVector):
     """A rational Chow class on P^n: coeffs[k] multiplies [P^{n-k}]."""
 
     ambient_dim: int
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.ambient_dim < 0:
-            raise ValidationError("ambient_dim must be non-negative")
-        coeffs = tuple(as_rational(c) for c in self.coeffs)
-        if len(coeffs) != self.ambient_dim + 1:
-            raise ValidationError(
-                f"class on P^{self.ambient_dim} needs {self.ambient_dim + 1} "
-                f"coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+    _wire_key = "coeffs_by_codim"
+    _noun = "class"
+    _what = "graded class"
+
+    __post_init__ = _CoeffVector._validate
+    __add__ = _CoeffVector._add
+    __sub__ = _CoeffVector._sub
+    __neg__ = _CoeffVector._neg
+    __mul__ = __rmul__ = _CoeffVector._scale
+    to_json = _CoeffVector._to_json
+    from_json = classmethod(_CoeffVector._from_json)
 
     @classmethod
     def zero(cls, ambient_dim) -> "GradedClass":
-        return cls(ambient_dim, (Fraction(0),) * (ambient_dim + 1))
-
-    @classmethod
-    def from_coeffs(cls, ambient_dim, values) -> "GradedClass":
-        """Build a class from codimension-indexed coefficients, zero-padded."""
-        return cls(ambient_dim, _coerce_coeffs(ambient_dim, values))
+        return cls.from_coeffs(ambient_dim, ())
 
     @classmethod
     def single(cls, ambient_dim, codim, value) -> "GradedClass":
@@ -289,41 +341,10 @@ class GradedClass:
             raise ValidationError(
                 f"codimension {codim} out of range on P^{ambient_dim}"
             )
-        coeffs = [Fraction(0)] * (ambient_dim + 1)
-        coeffs[codim] = as_rational(value)
-        return cls(ambient_dim, tuple(coeffs))
+        return cls.from_coeffs(ambient_dim, [0] * codim + [value])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def _check_dim(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatchError(
-                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
-            )
-
-    def __add__(self, other: "GradedClass") -> "GradedClass":
-        self._check_dim(other)
-        return GradedClass(
-            self.ambient_dim,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "GradedClass") -> "GradedClass":
-        self._check_dim(other)
-        return GradedClass(
-            self.ambient_dim,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "GradedClass":
-        return GradedClass(self.ambient_dim, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, scalar) -> "GradedClass":
-        s = as_rational(scalar)
-        return GradedClass(self.ambient_dim, tuple(s * a for a in self.coeffs))
-
-    __rmul__ = __mul__
 
     def dual(self, relative_dim: int | None = None) -> "GradedClass":
         """Sign-alternate each piece by its codimension in an ambient M.
@@ -334,10 +355,7 @@ class GradedClass:
         """
         n = self.ambient_dim
         m = n if relative_dim is None else relative_dim
-        out = tuple(
-            a if (m - (n - k)) % 2 == 0 else -a for k, a in enumerate(self.coeffs)
-        )
-        return GradedClass(n, out)
+        return GradedClass(n, _alternate(self.coeffs, m - n))
 
     def twist(
         self, bundle: "LineBundleOnPn", relative_dim: int | None = None
@@ -367,34 +385,8 @@ class GradedClass:
         """Coefficient of the point class [P^0]."""
         return self.coeffs[self.ambient_dim]
 
-    def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "coeffs_by_codim": [format_rational(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "GradedClass":
-        _check_keys(data, {"ambient_dim", "coeffs_by_codim"}, what="graded class")
-        n = _parse_dim(data["ambient_dim"], "ambient_dim")
-        values = data["coeffs_by_codim"]
-        if not isinstance(values, list) or len(values) != n + 1:
-            raise InputParseError(
-                f"coeffs_by_codim must list exactly {n + 1} entries for ambient_dim {n}"
-            )
-        return cls(n, tuple(parse_rational(v) for v in values))
-
-    def __str__(self):
-        n = self.ambient_dim
-        parts = [
-            (c, f"{abs(c)}[P^{n - k}]") for k, c in enumerate(self.coeffs) if c
-        ]
-        if not parts:
-            return "0"
-        text = parts[0][1] if parts[0][0] > 0 else "-" + parts[0][1]
-        for c, mag in parts[1:]:
-            text += (" + " if c > 0 else " - ") + mag
-        return text
+    def _term(self, k, mag):
+        return f"{mag}[P^{self.ambient_dim - k}]"
 
 
 @dataclass(frozen=True)
@@ -417,6 +409,6 @@ class LineBundleOnPn:
 
 def tangent_chern(n: int) -> HSeries:
     """c(TP^n) = (1+H)^{n+1} mod H^{n+1}, from the Euler sequence."""
-    if n < 0:
+    if not _is_int(n) or n < 0:
         raise ValidationError("projective dimension must be non-negative")
     return HSeries(n, tuple(Fraction(comb(n + 1, k)) for k in range(n + 1)))

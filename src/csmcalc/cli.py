@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import charclass, scenarios
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
-from .chow import GradedClass, HSeries, format_rational, parse_rational
+from .chow import GradedClass, _encode, format_rational, parse_rational
 from .errors import CharClassError, InputParseError, ValidationError
 
 
@@ -35,7 +35,7 @@ def _load_source(value: str) -> dict:
             raise InputParseError(f"cannot read {value!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InputParseError(f"bad JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputParseError("top-level JSON value must be an object")
@@ -61,16 +61,6 @@ def _require_pn_hypersurface(spec: HypersurfaceSpec, what: str) -> None:
         raise ValidationError(
             f"{what} needs a hypersurface of P^n itself (r = n-1); got r={spec.r}, n={spec.n}"
         )
-
-
-def _encode(value):
-    if isinstance(value, (GradedClass, HSeries, InvariantData)):
-        return value.to_json()
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    return value
 
 
 def _render(value) -> str:

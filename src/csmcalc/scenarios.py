@@ -22,22 +22,10 @@ from importlib.resources import files
 
 from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
-from .chow import GradedClass, format_rational
+from .chow import GradedClass, _encode, format_rational
 from .errors import ValidationError
 
 PROVENANCES = ("published", "derived", "trivial")
-
-
-def _encode(value):
-    if isinstance(value, GradedClass):
-        return value.to_json()
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
 
 
 def _render(value) -> str:

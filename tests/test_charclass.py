@@ -95,6 +95,15 @@ class TestHypersurfaceSpecValidation:
         with pytest.raises(ValidationError):
             HypersurfaceSpec(3, -1, F(1), {})
 
+    @pytest.mark.parametrize(
+        "n,r",
+        [(True, 0), (3.0, 2), (3, True), (3, 2.0)],
+        ids=["n-bool", "n-float", "r-bool", "r-float"],
+    )
+    def test_non_integer_dimensions_rejected(self, n, r):
+        with pytest.raises(ValidationError):
+            HypersurfaceSpec(n, r, F(1), {})
+
     def test_ambient_tangent_checks(self):
         with pytest.raises(DimensionMismatchError):
             HypersurfaceSpec(3, 2, F(4), {}, ambient_tangent=S(2, 1, 3, 3))
@@ -290,6 +299,11 @@ class TestBundleData:
             BundleData(-1, S(2, 1, 0, 0))
         with pytest.raises(ValidationError):
             BundleData(1, S(2, 2, 0, 0))
+
+    @pytest.mark.parametrize("rank", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_rank_rejected(self, rank):
+        with pytest.raises(ValidationError):
+            BundleData(rank, S(2, 1, 0, 0))
 
     def test_dual_alternates_signs(self):
         b = BundleData(2, S(3, 1, 3, 5, 0))

@@ -53,6 +53,13 @@ class TestRationalWireForm:
         with pytest.raises(ValidationError):
             as_rational(0.5)
 
+    def test_parse_rejects_oversize_literal(self):
+        # past the interpreter's limit on int-string conversion
+        with pytest.raises(InputParseError):
+            parse_rational("1" * 5000)
+        with pytest.raises(InputParseError):
+            parse_rational("1/" + "3" * 5000)
+
 
 class TestSeriesArithmetic:
     def test_mul_difference_of_squares(self):
@@ -112,6 +119,14 @@ class TestSeriesArithmetic:
         with pytest.raises(ValidationError):
             HSeries(2, (F(1),))
 
+    def test_twin_type_rejected(self):
+        with pytest.raises(ValidationError):
+            S(1, 1, 2) + C(1, 1, 2)
+        with pytest.raises(ValidationError):
+            S(1, 1, 2) - C(1, 1, 2)
+        with pytest.raises(ValidationError):
+            S(1, 1, 2) * C(1, 1, 2)
+
 
 class TestCap:
     def test_identity_operator(self):
@@ -127,6 +142,10 @@ class TestCap:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             S(2, 1).cap(C(3, 1))
+
+    def test_series_operand_rejected(self):
+        with pytest.raises(ValidationError):
+            S(2, 1).cap(S(2, 1))
 
 
 class TestDualAndTwist:
@@ -208,6 +227,14 @@ class TestGradedClassBasics:
         with pytest.raises(DimensionMismatchError):
             C(2, 1) + C(3, 1)
 
+    def test_twin_type_rejected(self):
+        with pytest.raises(ValidationError):
+            C(1, 1, 2) + S(1, 1, 2)
+        with pytest.raises(ValidationError):
+            C(1, 1, 2) - S(1, 1, 2)
+        with pytest.raises(ValidationError):
+            C(1, 1, 2) * S(1, 1, 2)
+
     def test_degree_zero_part(self):
         assert C(3, 0, 4, 0, 24).degree_zero_part() == 24
 
@@ -217,6 +244,26 @@ class TestGradedClassBasics:
         assert S(0, 3).cap(a) == C(0, 15)
         assert a.dual(0) == a
         assert a.twist(LineBundleOnPn(F(7)), 0) == a
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: HSeries(n, (1, 0)),
+        lambda n: GradedClass(n, (1, 0)),
+        lambda n: HSeries.from_coeffs(n, [1]),
+        lambda n: GradedClass.from_coeffs(n, [1]),
+        lambda n: GradedClass.zero(n),
+        lambda n: GradedClass.single(n, 1, 1),
+        lambda n: tangent_chern(n),
+    ],
+    ids=["HSeries", "GradedClass", "HSeries.from_coeffs", "GradedClass.from_coeffs",
+         "GradedClass.zero", "GradedClass.single", "tangent_chern"],
+)
+@pytest.mark.parametrize("dim", [1.0, True], ids=["float", "bool"])
+def test_non_integer_ambient_dim_rejected(build, dim):
+    with pytest.raises(ValidationError):
+        build(dim)
 
 
 class TestStr:

@@ -205,6 +205,20 @@ class TestExitCodes:
         assert code == 2
         assert "bad JSON" in err
 
+    def test_oversize_literal_is_parse_error(self, capsys):
+        # past the interpreter's 4,300-digit limit on int-string conversion
+        assert run(["fulton", "--n", "3", "--d", "7" * 5000]) == 2
+        assert run(["multiplicities", "--chi", "7" * 5000, "--eu", "2",
+                    "--dim-x", "2", "--dim-y", "1"]) == 2
+        assert "rational literal too long" in capsys.readouterr().err
+
+    def test_oversize_json_number_is_parse_error(self, capsys):
+        spec = SPEC_JSON.replace('"n": 3', '"n": ' + "3" * 5000)
+        assert spec != SPEC_JSON
+        code, _, err = invoke(capsys, "polar-total", "--spec", spec)
+        assert code == 2
+        assert "bad JSON" in err
+
     def test_unknown_key(self, capsys):
         bad = json.loads(SPEC_JSON)
         bad["degree"] = "4"
