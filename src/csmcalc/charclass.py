@@ -126,19 +126,15 @@ class BundleData:
     def twist_by(self, bundle: LineBundleOnPn) -> "BundleData":
         """Tensor by a line bundle, via the splitting-principle formula
 
-        c_k(E tensor L) = sum_i C(e-i, k-i) c_i(E) lambda^{k-i},  e = rank E.
+        c(E tensor L) = sum_{i<=e} c_i(E) H^i c(L)^{e-i},  e = rank E.
         """
         n = self.total_chern.ambient_dim
-        lam = bundle.degree
         e = self.rank
         out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(k + 1):
-                if 0 <= k - i <= e - i and self.total_chern.coeffs[i]:
-                    acc += comb(e - i, k - i) * self.total_chern.coeffs[i] * lam ** (k - i)
-            out[k] = acc
+        for i, c in enumerate(self.total_chern.coeffs[: e + 1]):
+            if c:
+                for j, s in enumerate(bundle.chern(n - i, e - i).coeffs):
+                    out[i + j] += c * s
         return BundleData(e, HSeries(n, tuple(out)))
 
     def to_json(self) -> dict:
@@ -243,7 +239,7 @@ class HypersurfaceSpec:
             raise InputParseError("polar must be an object keyed by polar index")
         polar = {}
         for key, value in data["polar"].items():
-            if not isinstance(key, str) or not key.isdigit():
+            if not isinstance(key, str) or not key.isdecimal():
                 raise InputParseError(f"polar key {key!r} is not a polar index")
             polar[int(key)] = GradedClass.from_json(value)
         tangent = None
@@ -262,8 +258,7 @@ def fulton_class(n: int, d) -> GradedClass:
     if n < 1:
         raise ValidationError("fulton_class needs n >= 1")
     d = as_rational(d)
-    series = tangent_chern(n) * LineBundleOnPn(d).chern(n).inverse()
-    return series.cap(GradedClass.single(n, 1, d))
+    return tangent_chern(n).cap(_hypersurface_segre_part(n, d))
 
 
 def total_polar_class(spec: HypersurfaceSpec) -> GradedClass:
@@ -326,7 +321,7 @@ def interpolated_class(
     n = c_fulton.ambient_dim
     alpha = as_rational(alpha)
     d = as_rational(d)
-    weight = LineBundleOnPn(alpha * d).chern(n).inverse() * (1 - alpha)
+    weight = LineBundleOnPn(alpha * d).chern(n, -1) * (1 - alpha)
     return c_fulton + weight.cap(c_mather - c_fulton)
 
 
@@ -346,7 +341,7 @@ def csm_from_polar(spec: HypersurfaceSpec, inv: InvariantData) -> GradedClass:
     as ``spec.d`` times H.
     """
     n = spec.n
-    denominator = LineBundleOnPn(inv.rho * spec.d).chern(n).inverse()
+    denominator = LineBundleOnPn(inv.rho * spec.d).chern(n, -1)
     virtual = (spec.tangent_series() * denominator).cap(inv.rho * spec.fundamental_class)
     milnor = (tangent_chern(n) * denominator).cap(inv.sigma * total_polar_class(spec))
     return virtual + milnor
@@ -365,13 +360,13 @@ def segre_ym_to_yx(s_ym: GradedClass, d, inv: InvariantData) -> GradedClass:
 def segre_yx_to_ym(s_yx: GradedClass, d, inv: InvariantData) -> GradedClass:
     """Inverse conversion: s(Y,M) = sigma/(1 + sigma X) cap s(Y,X)."""
     n = s_yx.ambient_dim
-    series = LineBundleOnPn(inv.sigma * as_rational(d)).chern(n).inverse() * inv.sigma
+    series = LineBundleOnPn(inv.sigma * as_rational(d)).chern(n, -1) * inv.sigma
     return series.cap(s_yx)
 
 
 def _hypersurface_segre_part(n: int, d: Fraction) -> GradedClass:
     # s(X, P^n) = [X]/(1+X) for a degree-d hypersurface of P^n
-    return LineBundleOnPn(d).chern(n).inverse().cap(GradedClass.single(n, 1, d))
+    return LineBundleOnPn(d).chern(n, -1).cap(GradedClass.single(n, 1, d))
 
 
 def mather_from_segre(s_yx: GradedClass, n: int, d) -> GradedClass:
@@ -424,8 +419,8 @@ def segre_from_polar(
     d = spec.d if d is None else as_rational(d)
     bundle = LineBundleOnPn(d)
     m = spec.r + 1
-    factor = normal.dual().twist_by(bundle).total_chern * (
-        bundle.chern(spec.n) ** -(spec.n - spec.r - 1)
+    factor = normal.dual().twist_by(bundle).total_chern * bundle.chern(
+        spec.n, spec.r + 1 - spec.n
     )
     twisted_polar = total_polar_class(spec).dual(m).twist(bundle, m)
     return spec.fundamental_class + factor.cap(twisted_polar)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import (
     DimensionMismatchError,
@@ -72,9 +71,29 @@ def parse_rational(value) -> Fraction:
         raise InputParseError(f"rational literal too long: {exc}") from exc
 
 
+_CHUNK_DIGITS = 600  # below 640, the least int-string limit Python allows
+
+
+def _digits(value: int) -> str:
+    """Decimal form of an int of any size.  Past the interpreter's
+    int-string digit limit it is written in chunks of _CHUNK_DIGITS."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    chunks, rest = [], abs(value)
+    while rest:
+        rest, low = divmod(rest, 10**_CHUNK_DIGITS)
+        chunks.append(low)
+    head = ("-" if value < 0 else "") + str(chunks.pop())
+    return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
+
+
 def format_rational(value: Fraction) -> str:
     """Wire form of a rational: "p" or "p/q" with q > 0 in lowest terms."""
-    return str(value)
+    if value.denominator == 1:
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def _encode(value):
@@ -306,9 +325,9 @@ class HSeries(_CoeffVector):
     @staticmethod
     def _term(k, mag):
         if k == 0:
-            return str(mag)
+            return format_rational(mag)
         h = "H" if k == 1 else f"H^{k}"
-        return h if mag == 1 else f"{mag}{h}"
+        return h if mag == 1 else format_rational(mag) + h
 
 
 @dataclass(frozen=True)
@@ -346,6 +365,16 @@ class GradedClass(_CoeffVector):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def _relative_dim(self, relative_dim) -> int:
+        """dim M for dual and twist: an integer, n when not given."""
+        if relative_dim is None:
+            return self.ambient_dim
+        if not _is_int(relative_dim):
+            raise ValidationError(
+                f"relative_dim must be an integer, got {type(relative_dim).__name__}"
+            )
+        return relative_dim
+
     def dual(self, relative_dim: int | None = None) -> "GradedClass":
         """Sign-alternate each piece by its codimension in an ambient M.
 
@@ -354,8 +383,7 @@ class GradedClass(_CoeffVector):
         pieces.  An involution for every m.
         """
         n = self.ambient_dim
-        m = n if relative_dim is None else relative_dim
-        return GradedClass(n, _alternate(self.coeffs, m - n))
+        return GradedClass(n, _alternate(self.coeffs, self._relative_dim(relative_dim) - n))
 
     def twist(
         self, bundle: "LineBundleOnPn", relative_dim: int | None = None
@@ -367,16 +395,13 @@ class GradedClass(_CoeffVector):
         result is regraded and truncated beyond codimension n.
         """
         n = self.ambient_dim
-        m = n if relative_dim is None else relative_dim
-        chern = bundle.chern(n)
+        m = self._relative_dim(relative_dim)
         out = [Fraction(0)] * (n + 1)
         for k, a in enumerate(self.coeffs):
             if not a:
                 continue
-            codim_in_m = m - (n - k)
-            series = chern ** (-codim_in_m)
-            for i in range(n + 1 - k):
-                s = series.coeffs[i]
+            # truncated at codimension n: the power is needed mod H^(n+1-k)
+            for i, s in enumerate(bundle.chern(n - k, n - k - m).coeffs):
                 if s:
                     out[k + i] += a * s
         return GradedClass(n, tuple(out))
@@ -386,7 +411,7 @@ class GradedClass(_CoeffVector):
         return self.coeffs[self.ambient_dim]
 
     def _term(self, k, mag):
-        return f"{mag}[P^{self.ambient_dim - k}]"
+        return f"{format_rational(mag)}[P^{self.ambient_dim - k}]"
 
 
 @dataclass(frozen=True)
@@ -402,13 +427,20 @@ class LineBundleOnPn:
     def __post_init__(self):
         object.__setattr__(self, "degree", as_rational(self.degree))
 
-    def chern(self, ambient_dim: int) -> HSeries:
-        """Total Chern class 1 + degree * H on P^{ambient_dim}."""
-        return HSeries.from_coeffs(ambient_dim, [1, self.degree])
+    def chern(self, ambient_dim: int, power: int = 1) -> HSeries:
+        """c(L)^power = (1 + degree*H)^power on P^{ambient_dim}, for every
+        integer power, from a_k = a_{k-1} * (power - k + 1) * degree / k."""
+        _check_ambient_dim(ambient_dim)
+        if not _is_int(power):
+            raise ValidationError(f"power must be an integer, got {type(power).__name__}")
+        coeffs = [Fraction(1)]
+        for k in range(1, ambient_dim + 1):
+            coeffs.append(coeffs[-1] * (power - k + 1) * self.degree / k)
+        return HSeries(ambient_dim, tuple(coeffs))
 
 
 def tangent_chern(n: int) -> HSeries:
     """c(TP^n) = (1+H)^{n+1} mod H^{n+1}, from the Euler sequence."""
     if not _is_int(n) or n < 0:
         raise ValidationError("projective dimension must be non-negative")
-    return HSeries(n, tuple(Fraction(comb(n + 1, k)) for k in range(n + 1)))
+    return LineBundleOnPn(1).chern(n, n + 1)

@@ -246,6 +246,23 @@ class TestCsmRoutes:
             assert cc.csm_from_polar(curve, InvariantData(chi, eu)) == expected
 
 
+class TestRoutesAgreeAtLargeN:
+    def test_dense_hypersurface_of_p48(self):
+        # every polar class nonzero; [P_0] = d[P^47], the shape of a
+        # degree-d hypersurface, so that the Fulton-based routes apply
+        n, d = 48, F(7, 2)
+        degrees = [d] + [F((-1) ** k * (k % 7 + 1), k % 3 + 1) for k in range(1, n)]
+        spec = spec_polar(n, n - 1, d, degrees)
+        inv = InvariantData(F(-3, 2), F(5, 3))
+        c_mather = cc.mather_from_polar(spec)
+        assert c_mather == cc.mather_double_sum(spec)
+        c_sm = cc.csm_from_interpolation(cc.fulton_class(n, d), c_mather, d, inv)
+        assert c_sm == cc.csm_from_polar(spec, inv)
+        s_yx = cc.segre_from_polar(spec, BundleData.line(n, d))
+        assert c_sm == cc.csm_from_segre(cc.segre_yx_to_ym(s_yx, d, inv), n, d)
+        assert cc.mather_from_segre(s_yx, n, d) == c_mather
+
+
 class TestSegreConversions:
     INV = InvariantData(F(-1), F(2))
 
@@ -321,6 +338,15 @@ class TestBundleData:
     def test_twist_trivial_rank_two(self):
         b = BundleData(2, HSeries.one(3))
         assert b.twist_by(LineBundleOnPn(F(1))).total_chern == S(3, 1, 2, 1, 0)
+
+    def test_twist_rank_two(self):
+        # (1 + 2H)^2 + 3H(1 + 2H) + 5H^2
+        b = BundleData(2, S(3, 1, 3, 5, 0))
+        assert b.twist_by(LineBundleOnPn(F(2))).total_chern == S(3, 1, 7, 15, 0)
+
+    def test_twist_drops_classes_above_rank(self):
+        b = BundleData(1, S(3, 1, -4, 7, 2))
+        assert b.twist_by(LineBundleOnPn(F(4))).total_chern == HSeries.one(3)
 
     def test_json_round_trip(self):
         b = BundleData(2, S(3, 1, F(10, 3), 0, 0))

@@ -60,6 +60,21 @@ class TestRationalWireForm:
         with pytest.raises(InputParseError):
             parse_rational("1/" + "3" * 5000)
 
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            # (10^3000 - 1)^2 / 7 = (10^3000 - 1) * 142857...142857
+            (F(10**6000 - 2 * 10**3000 + 1, 7),
+             "142857" * 499 + "142856" + "857142" * 499 + "857143"),
+            (F(-(10**6000) - 1, 3), "-1" + "0" * 5999 + "1/3"),
+            (F(1, 10**5000), "1/1" + "0" * 5000),
+        ],
+        ids=["numerator", "negative", "denominator"],
+    )
+    def test_format_past_digit_limit(self, value, text):
+        # past the interpreter's 4,300-digit limit on int-string conversion
+        assert format_rational(value) == text
+
 
 class TestSeriesArithmetic:
     def test_mul_difference_of_squares(self):
@@ -194,6 +209,20 @@ class TestDualAndTwist:
         deeper = C(3, 0, 1, 0, 0).twist(LineBundleOnPn(F(3)), 1)
         assert deeper == C(3, 0, 1, 3, 0)
 
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, "2"])
+    def test_relative_dim_must_be_integer(self, m):
+        a = C(3, 0, 4, -7, 10)
+        with pytest.raises(ValidationError):
+            a.dual(m)
+        with pytest.raises(ValidationError):
+            a.twist(LineBundleOnPn(F(2)), m)
+
+
+@pytest.mark.parametrize("power", [1.5, 2.0, True, "2", None])
+def test_line_bundle_power_must_be_integer(power):
+    with pytest.raises(ValidationError):
+        LineBundleOnPn(F(2)).chern(3, power)
+
 
 class TestTangentChern:
     @pytest.mark.parametrize(
@@ -256,9 +285,10 @@ class TestGradedClassBasics:
         lambda n: GradedClass.zero(n),
         lambda n: GradedClass.single(n, 1, 1),
         lambda n: tangent_chern(n),
+        lambda n: LineBundleOnPn(F(2)).chern(n, -1),
     ],
     ids=["HSeries", "GradedClass", "HSeries.from_coeffs", "GradedClass.from_coeffs",
-         "GradedClass.zero", "GradedClass.single", "tangent_chern"],
+         "GradedClass.zero", "GradedClass.single", "tangent_chern", "LineBundleOnPn.chern"],
 )
 @pytest.mark.parametrize("dim", [1.0, True], ids=["float", "bool"])
 def test_non_integer_ambient_dim_rejected(build, dim):
@@ -276,6 +306,11 @@ class TestStr:
         assert str(S(3, 1, 4, 6, 4)) == "1 + 4H + 6H^2 + 4H^3"
         assert str(S(2, 1, 0, -1)) == "1 - H^2"
         assert str(S(1, 0, 0)) == "0"
+
+    def test_past_digit_limit(self):
+        big = "1" + "0" * 5000
+        assert str(S(1, 10**5000, -(10**5000))) == f"{big} - {big}H"
+        assert str(C(1, 0, -(10**5000))) == f"-{big}[P^0]"
 
 
 class TestJsonWireForms:

@@ -212,6 +212,17 @@ class TestExitCodes:
                     "--dim-x", "2", "--dim-y", "1"]) == 2
         assert "rational literal too long" in capsys.readouterr().err
 
+    def test_answer_past_digit_limit_is_printed(self, capsys):
+        # d = 10^3000 - 1 parses; c_fulton = d[P^1] - d(d - 3)[P^0] does not
+        d = "9" * 3000
+        top = "9" * 2999 + "5" + "0" * 2999 + "4"  # d(d - 3), 6,000 digits
+        code, out, _ = invoke(capsys, "fulton", "--n", "2", "--d", d)
+        assert code == 0
+        assert out == f"c_fulton = {d}[P^1] - {top}[P^0]\n"
+        code, out, _ = invoke(capsys, "fulton", "--n", "2", "--d", d, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["c_fulton"]["coeffs_by_codim"] == ["0", d, "-" + top]
+
     def test_oversize_json_number_is_parse_error(self, capsys):
         spec = SPEC_JSON.replace('"n": 3', '"n": ' + "3" * 5000)
         assert spec != SPEC_JSON
@@ -242,6 +253,14 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "polar-total", "--spec", json.dumps(bad))
         assert code == 3
         assert "supported in dimension" in err
+
+    def test_non_decimal_polar_key_is_parse_error(self, capsys):
+        # "²".isdigit() is true, but int("²") raises
+        bad = json.loads(SPEC_JSON)
+        bad["polar"]["\u00b2"] = bad["polar"].pop("1")
+        code, _, err = invoke(capsys, "polar-total", "--spec", json.dumps(bad))
+        assert code == 2
+        assert "is not a polar index" in err
 
     def test_missing_input_flag(self, capsys):
         code, _, _ = invoke(capsys, "csm", "--spec", SPEC_JSON)

@@ -1,4 +1,4 @@
-"""The series kernels against sympy's power-series arithmetic, n <= 10.
+"""The series kernels against sympy's power-series arithmetic, n <= 12.
 
 sympy's ``ring_series`` module expands products, inverses and powers of
 polynomials over QQ to a given order.  Truncation mod H^{n+1} commutes
@@ -91,3 +91,17 @@ def test_tangent_over_divisor_matches_series(d):
         expected = rs_mul((1 + H) ** (n + 1), geometric, H, PREC)
         ours = tangent_chern(n) * LineBundleOnPn(d).chern(n).inverse()
         assert ours.coeffs == coeffs(expected, n)
+
+
+@pytest.mark.parametrize("lam", [F(0), F(1), F(-5, 3), F(4)])
+def test_line_bundle_power_matches_pow_and_series(lam):
+    # the closed form (1 + lam*H)^e against the general operations ** and
+    # inverse, and against sympy, for every n <= 12 and |e| <= n + 2
+    top = 12
+    bundle = LineBundleOnPn(lam)
+    for e in range(-top - 2, top + 3):
+        expected = rs_pow(1 + q(lam) * H, e, H, top + 1)
+        for n in range(max(0, abs(e) - 2), top + 1):
+            ours = bundle.chern(n, e)
+            assert ours == bundle.chern(n) ** e == bundle.chern(n).inverse() ** -e
+            assert ours.coeffs == coeffs(expected, n)
