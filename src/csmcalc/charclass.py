@@ -293,12 +293,13 @@ def mather_double_sum(spec: HypersurfaceSpec) -> GradedClass:
     and are dropped by truncation.
     """
     n, r = spec.n, spec.r
+    nonzero = [not p.is_zero() for p in spec.polar]
     out = [Fraction(0)] * (n + 1)
     for k in range(r + 1):
         for i in range(k + 1):
-            p = spec.polar[k - i]
-            if p.is_zero():
+            if not nonzero[k - i]:
                 continue
+            p = spec.polar[k - i]
             weight = (-1) ** (k - i) * comb(r + 1 - k + i, i)
             for c, a in enumerate(p.coeffs):
                 if a and c + i <= n:
@@ -494,6 +495,8 @@ def exceptional_multiplicities(
 
     so that n/m = (chi - Eu)/(chi - 1) = 1/sigma.
     """
+    if not (_is_int(dim_x) and _is_int(dim_y)):
+        raise ValidationError("dim X and dim Y' must be integers")
     if not dim_x > dim_y >= 0:
         raise ValidationError("need dim X > dim Y' >= 0")
     sign = (-1) ** (dim_x - dim_y)

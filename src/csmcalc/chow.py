@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -136,17 +137,27 @@ def _check_ambient_dim(n):
 
 def _convolve(a, b) -> tuple[Fraction, ...]:
     """Truncated product of two coefficient vectors of equal length n+1:
-    entry k is the sum of a[i] * b[j] over i + j = k, for k <= n."""
+    entry k is the sum of a[i] * b[j] over i + j = k, for k <= n.
+
+    Each operand is put over one common denominator and its integer
+    numerators are convolved, so no gcd is taken inside the double loop;
+    ``Fraction`` reduces each entry once at the end, which makes the
+    result equal to the product taken in ``Fraction`` arithmetic."""
     n = len(a) - 1
-    out = [Fraction(0)] * (n + 1)
-    for i, x in enumerate(a):
+    da = lcm(*(x.denominator for x in a))
+    db = lcm(*(y.denominator for y in b))
+    na = [x.numerator * (da // x.denominator) for x in a]
+    nb = [y.numerator * (db // y.denominator) for y in b]
+    out = [0] * (n + 1)
+    for i, x in enumerate(na):
         if not x:
             continue
         for j in range(n + 1 - i):
-            y = b[j]
+            y = nb[j]
             if y:
                 out[i + j] += x * y
-    return tuple(out)
+    d = da * db
+    return tuple(Fraction(c, d) for c in out)
 
 
 def _alternate(coeffs, shift=0) -> tuple[Fraction, ...]:
@@ -356,6 +367,10 @@ class GradedClass(_CoeffVector):
     @classmethod
     def single(cls, ambient_dim, codim, value) -> "GradedClass":
         """The class value * [P^{n-codim}]."""
+        if not _is_int(codim):
+            raise ValidationError(
+                f"codimension must be an integer, got {type(codim).__name__}"
+            )
         if not 0 <= codim <= ambient_dim:
             raise ValidationError(
                 f"codimension {codim} out of range on P^{ambient_dim}"
@@ -363,7 +378,7 @@ class GradedClass(_CoeffVector):
         return cls.from_coeffs(ambient_dim, [0] * codim + [value])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _relative_dim(self, relative_dim) -> int:
         """dim M for dual and twist: an integer, n when not given."""

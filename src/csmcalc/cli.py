@@ -5,7 +5,7 @@ dispatches to the exact engine, and renders results either as a short
 table (classes printed highest dimension first) or as JSON that can be
 piped straight back in.  All configuration is by flags; exit codes are
 0 success, 1 failing scenario, 2 parse, 3 validation, 4 degenerate
-invariants, 5 inconsistent system.
+invariants, 5 inconsistent system, 6 internal error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import charclass, scenarios
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
 from .chow import GradedClass, _encode, format_rational, parse_rational
-from .errors import CharClassError, InputParseError, ValidationError
+from .errors import INTERNAL_ERROR_EXIT, CharClassError, InputParseError, ValidationError
 
 
 def _load_source(value: str) -> dict:
@@ -349,6 +349,9 @@ def run(argv=None) -> int:
     except CharClassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except Exception as exc:  # a defect, not bad input: report it in one line
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR_EXIT
 
 
 def main() -> None:

@@ -2,7 +2,12 @@
 
 Every error carries the process exit code used by the command-line front
 end: 2 parse, 3 validation, 4 degenerate invariants, 5 inconsistent system.
+Any other exception escaping a subcommand is a defect in the package; the
+front end reports it on one line, ``error: internal: <Type>: <message>``,
+and exits with INTERNAL_ERROR_EXIT (6).
 """
+
+INTERNAL_ERROR_EXIT = 6
 
 
 class CharClassError(Exception):

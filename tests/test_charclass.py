@@ -262,6 +262,17 @@ class TestRoutesAgreeAtLargeN:
         assert c_sm == cc.csm_from_segre(cc.segre_yx_to_ym(s_yx, d, inv), n, d)
         assert cc.mather_from_segre(s_yx, n, d) == c_mather
 
+    def test_cone_type_hypersurface_of_p120(self):
+        # only P_0 and P_1 nonzero: the double sum skips every other
+        # polar class, and the kernels convolve mostly-zero vectors
+        n, d = 120, F(9, 4)
+        spec = spec_polar(n, n - 1, d, [d, F(-37, 5)])
+        inv = InvariantData(F(7, 3), F(-2, 5))
+        c_mather = cc.mather_from_polar(spec)
+        assert c_mather == cc.mather_double_sum(spec)
+        c_sm = cc.csm_from_interpolation(cc.fulton_class(n, d), c_mather, d, inv)
+        assert c_sm == cc.csm_from_polar(spec, inv)
+
 
 class TestSegreConversions:
     INV = InvariantData(F(-1), F(2))
@@ -462,3 +473,10 @@ class TestExceptionalMultiplicities:
     def test_requires_dim_drop(self):
         with pytest.raises(ValidationError):
             cc.exceptional_multiplicities(F(0), F(2), 1, 1)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "3"])
+    def test_non_integer_dimensions_rejected(self, dim):
+        with pytest.raises(ValidationError):
+            cc.exceptional_multiplicities(F(-1), F(2), dim, 0)
+        with pytest.raises(ValidationError):
+            cc.exceptional_multiplicities(F(-1), F(2), 4, dim)

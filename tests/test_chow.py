@@ -1,5 +1,6 @@
 """Core arithmetic: series, graded classes, dual/twist, JSON wire forms."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from csmcalc.chow import (
     GradedClass,
     HSeries,
     LineBundleOnPn,
+    _convolve,
     as_rational,
     format_rational,
     parse_rational,
@@ -163,6 +165,64 @@ class TestCap:
             S(2, 1).cap(S(2, 1))
 
 
+def _reference_convolve(a, b):
+    """The truncated product in plain Fraction arithmetic."""
+    n = len(a) - 1
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+_PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+
+
+def _operand(rng, n, kind):
+    """n+1 coefficients, about half of them zero (the kernel skips
+    zeros), with denominators of the given kind."""
+    if kind == "zero":
+        return (F(0),) * (n + 1)
+    out = []
+    for k in range(n + 1):
+        num = rng.choice([0, rng.randint(-99, 99)])
+        if kind == "coprime":
+            den = _PRIMES[k]
+        elif kind == "mixed":
+            den = rng.choice([1, 2, 3, 4, 6, 9, 10, 35])
+        else:
+            den = 1
+        out.append(F(num, den))
+    return tuple(out)
+
+
+class TestConvolveKernel:
+    """_convolve works on integer numerators over a common denominator;
+    its results must equal the Fraction double loop's exactly."""
+
+    @pytest.mark.parametrize(
+        "kind_a,kind_b",
+        [("mixed", "mixed"), ("mixed", "coprime"), ("coprime", "coprime"),
+         ("integer", "mixed"), ("integer", "integer"), ("zero", "mixed"),
+         ("coprime", "zero")],
+    )
+    def test_matches_fraction_loop(self, kind_a, kind_b):
+        rng = random.Random(f"{kind_a}-{kind_b}")
+        for n in range(41):
+            a, b = _operand(rng, n, kind_a), _operand(rng, n, kind_b)
+            got = _convolve(a, b)
+            assert got == _reference_convolve(a, b)
+            assert all(type(c) is F for c in got)
+
+    def test_entry_past_digit_limit(self):
+        rng = random.Random(0)
+        a = list(_operand(rng, 12, "mixed"))
+        a[3] = F(-(10**4400) + 7, 3**5)
+        b = _operand(rng, 12, "coprime")
+        assert _convolve(a, b) == _reference_convolve(a, b)
+        assert _convolve(b, a) == _reference_convolve(b, a)
+
+
 class TestDualAndTwist:
     def test_dual_signs(self):
         assert C(3, 0, 4, -7, 10).dual(3) == C(3, 0, -4, -7, -10)
@@ -286,9 +346,11 @@ class TestGradedClassBasics:
         lambda n: GradedClass.single(n, 1, 1),
         lambda n: tangent_chern(n),
         lambda n: LineBundleOnPn(F(2)).chern(n, -1),
+        lambda codim: GradedClass.single(3, codim, 1),
     ],
     ids=["HSeries", "GradedClass", "HSeries.from_coeffs", "GradedClass.from_coeffs",
-         "GradedClass.zero", "GradedClass.single", "tangent_chern", "LineBundleOnPn.chern"],
+         "GradedClass.zero", "GradedClass.single", "tangent_chern", "LineBundleOnPn.chern",
+         "GradedClass.single-codim"],
 )
 @pytest.mark.parametrize("dim", [1.0, True], ids=["float", "bool"])
 def test_non_integer_ambient_dim_rejected(build, dim):

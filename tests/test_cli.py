@@ -223,6 +223,16 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["c_fulton"]["coeffs_by_codim"] == ["0", d, "-" + top]
 
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr("csmcalc.cli._cmd_fulton", broken)
+        code, out, err = invoke(capsys, "fulton", "--n", "3", "--d", "4")
+        assert code == 6
+        assert out == ""
+        assert err == "error: internal: RuntimeError: kernel fault\n"
+
     def test_oversize_json_number_is_parse_error(self, capsys):
         spec = SPEC_JSON.replace('"n": 3', '"n": ' + "3" * 5000)
         assert spec != SPEC_JSON
