@@ -111,6 +111,8 @@ class BundleData:
     def __post_init__(self):
         if not _is_int(self.rank) or self.rank < 0:
             raise ValidationError("bundle rank must be a non-negative integer")
+        if not isinstance(self.total_chern, HSeries):
+            raise ValidationError("a total Chern class must be an HSeries")
         if self.total_chern.constant_term != 1:
             raise ValidationError("a total Chern class has constant term 1")
 
@@ -179,8 +181,12 @@ class HypersurfaceSpec:
             items = dict(enumerate(self.polar))
         dense: list[GradedClass] = [GradedClass.zero(self.n)] * (self.r + 1)
         for k, cls in items.items():
-            if not isinstance(k, int) or k < 0:
+            if not _is_int(k) or k < 0:
                 raise ValidationError("polar indices must be non-negative integers")
+            if not isinstance(cls, GradedClass):
+                raise ValidationError(
+                    f"polar class {k} must be a GradedClass, got {type(cls).__name__}"
+                )
             if k > self.r:
                 raise ValidationError(
                     f"polar class index {k} exceeds dim X = {self.r}"
@@ -199,6 +205,8 @@ class HypersurfaceSpec:
         object.__setattr__(self, "polar", tuple(dense))
 
         if self.ambient_tangent is not None:
+            if not isinstance(self.ambient_tangent, HSeries):
+                raise ValidationError("ambient_tangent must be an HSeries")
             if self.ambient_tangent.ambient_dim != self.n:
                 raise DimensionMismatchError(
                     "ambient_tangent series has the wrong ambient dimension"
@@ -266,16 +274,16 @@ def total_polar_class(spec: HypersurfaceSpec) -> GradedClass:
 
         [P] = (-1)^(n-r) sum_k dual([P_k]) twisted by O(1),
 
-    with dual/twist taken relative to P^n.
+    with dual/twist taken relative to P^n.  Both are linear and [P_k]
+    lives only in codimension n-r+k, so the polar classes are gathered
+    into one class, which is dualised and twisted once.
     """
-    o1 = LineBundleOnPn(Fraction(1))
-    total = GradedClass.zero(spec.n)
-    for cls in spec.polar:
-        if not cls.is_zero():
-            total = total + cls.dual(spec.n).twist(o1, spec.n)
-    if (spec.n - spec.r) % 2:
-        total = -total
-    return total
+    n, r = spec.n, spec.r
+    coeffs = [Fraction(0)] * (n + 1)
+    for k, cls in enumerate(spec.polar):
+        coeffs[n - r + k] = cls.coeffs[n - r + k]
+    total = GradedClass(n, tuple(coeffs)).dual(n).twist(LineBundleOnPn(Fraction(1)), n)
+    return -total if (n - r) % 2 else total
 
 
 def mather_from_polar(spec: HypersurfaceSpec) -> GradedClass:
@@ -293,17 +301,13 @@ def mather_double_sum(spec: HypersurfaceSpec) -> GradedClass:
     and are dropped by truncation.
     """
     n, r = spec.n, spec.r
-    nonzero = [not p.is_zero() for p in spec.polar]
+    # [P_j] lives only in codimension n-r+j, so the k-th sum lands in n-r+k
+    top = [p.coeffs[n - r + j] for j, p in enumerate(spec.polar)]
     out = [Fraction(0)] * (n + 1)
     for k in range(r + 1):
         for i in range(k + 1):
-            if not nonzero[k - i]:
-                continue
-            p = spec.polar[k - i]
-            weight = (-1) ** (k - i) * comb(r + 1 - k + i, i)
-            for c, a in enumerate(p.coeffs):
-                if a and c + i <= n:
-                    out[c + i] += weight * a
+            if top[k - i]:
+                out[n - r + k] += (-1) ** (k - i) * comb(r + 1 - k + i, i) * top[k - i]
     return GradedClass(n, tuple(out))
 
 

@@ -135,6 +135,13 @@ def _check_ambient_dim(n):
         raise ValidationError("ambient_dim must be non-negative")
 
 
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """The integer numerators of coeffs over their least common denominator,
+    and that denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _convolve(a, b) -> tuple[Fraction, ...]:
     """Truncated product of two coefficient vectors of equal length n+1:
     entry k is the sum of a[i] * b[j] over i + j = k, for k <= n.
@@ -144,10 +151,8 @@ def _convolve(a, b) -> tuple[Fraction, ...]:
     ``Fraction`` reduces each entry once at the end, which makes the
     result equal to the product taken in ``Fraction`` arithmetic."""
     n = len(a) - 1
-    da = lcm(*(x.denominator for x in a))
-    db = lcm(*(y.denominator for y in b))
-    na = [x.numerator * (da // x.denominator) for x in a]
-    nb = [y.numerator * (db // y.denominator) for y in b]
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
     out = [0] * (n + 1)
     for i, x in enumerate(na):
         if not x:
@@ -158,6 +163,16 @@ def _convolve(a, b) -> tuple[Fraction, ...]:
                 out[i + j] += x * y
     d = da * db
     return tuple(Fraction(c, d) for c in out)
+
+
+def _binomials(e, count) -> list[int]:
+    """C(e, 0), ..., C(e, count-1) for any integer e, negative included,
+    from the exact integer step C(e, i+1) = C(e, i) * (e - i) // (i + 1)."""
+    out, b = [], 1
+    for i in range(count):
+        out.append(b)
+        b = b * (e - i) // (i + 1)
+    return out
 
 
 def _alternate(coeffs, shift=0) -> tuple[Fraction, ...]:
@@ -408,18 +423,31 @@ class GradedClass(_CoeffVector):
         The piece of dimension p is multiplied by c(L)^(p-m), i.e. by
         (1 + lambda*H) to the power minus its codimension in M.  The
         result is regraded and truncated beyond codimension n.
+
+        Computed on integers: with lambda = p/q and the class over one
+        common denominator den, piece a_k = A_k/den adds
+        A_k * C(e, i) * p^i * q^(n-i) to entry k+i, e = n-k-m; each entry
+        is reduced once, over den * q^n.
         """
+        if not isinstance(bundle, LineBundleOnPn):
+            raise ValidationError(
+                f"twist needs a LineBundleOnPn, got {type(bundle).__name__}"
+            )
         n = self.ambient_dim
         m = self._relative_dim(relative_dim)
-        out = [Fraction(0)] * (n + 1)
-        for k, a in enumerate(self.coeffs):
-            if not a:
+        p, q = bundle.degree.numerator, bundle.degree.denominator
+        scale = [p**i * q ** (n - i) for i in range(n + 1)]
+        nums, den = _numerators(self.coeffs)
+        out = [0] * (n + 1)
+        for k, num in enumerate(nums):
+            if not num:
                 continue
             # truncated at codimension n: the power is needed mod H^(n+1-k)
-            for i, s in enumerate(bundle.chern(n - k, n - k - m).coeffs):
-                if s:
-                    out[k + i] += a * s
-        return GradedClass(n, tuple(out))
+            for i, b in enumerate(_binomials(n - k - m, n + 1 - k)):
+                if b:
+                    out[k + i] += num * b * scale[i]
+        d = den * q**n
+        return GradedClass(n, tuple(Fraction(c, d) for c in out))
 
     def degree_zero_part(self) -> Fraction:
         """Coefficient of the point class [P^0]."""
@@ -444,14 +472,17 @@ class LineBundleOnPn:
 
     def chern(self, ambient_dim: int, power: int = 1) -> HSeries:
         """c(L)^power = (1 + degree*H)^power on P^{ambient_dim}, for every
-        integer power, from a_k = a_{k-1} * (power - k + 1) * degree / k."""
+        integer power: with degree = p/q, a_i = C(power, i) * p^i / q^i,
+        the binomial from its exact integer recurrence (negative powers
+        included) and each a_i reduced once."""
         _check_ambient_dim(ambient_dim)
         if not _is_int(power):
             raise ValidationError(f"power must be an integer, got {type(power).__name__}")
-        coeffs = [Fraction(1)]
-        for k in range(1, ambient_dim + 1):
-            coeffs.append(coeffs[-1] * (power - k + 1) * self.degree / k)
-        return HSeries(ambient_dim, tuple(coeffs))
+        p, q = self.degree.numerator, self.degree.denominator
+        return HSeries(ambient_dim, tuple(
+            Fraction(b * p**i, q**i)
+            for i, b in enumerate(_binomials(power, ambient_dim + 1))
+        ))
 
 
 def tangent_chern(n: int) -> HSeries:

@@ -46,6 +46,15 @@ CONE3 = spec_polar(3, 2, 3, [3, 4, 0])
 CONIC = spec_polar(2, 1, 2, [2, 2])
 # twisted cubic curve in P^3 (not a hypersurface of P^3)
 TWISTED_CUBIC = spec_polar(3, 1, F(4, 3), [3, 4])
+# every polar class nonzero; [P_0] = d[P^47], the shape of a degree-d
+# hypersurface, so that the Fulton-based routes apply
+DENSE_P48 = spec_polar(
+    48, 47, F(7, 2),
+    [F(7, 2)] + [F((-1) ** k * (k % 7 + 1), k % 3 + 1) for k in range(1, 48)],
+)
+# cone type: only P_0 and P_1 nonzero, so the double sum skips every
+# other polar class and the kernels convolve mostly-zero vectors
+CONE_P120 = spec_polar(120, 119, F(9, 4), [F(9, 4), F(-37, 5)])
 
 
 class TestFultonClass:
@@ -104,6 +113,19 @@ class TestHypersurfaceSpecValidation:
         with pytest.raises(ValidationError):
             HypersurfaceSpec(n, r, F(1), {})
 
+    @pytest.mark.parametrize("entry", ["x", S(3, 0, 0, 4, 0), None])
+    def test_polar_entry_must_be_graded_class(self, entry):
+        with pytest.raises(ValidationError):
+            HypersurfaceSpec(3, 2, F(4), [GradedClass.single(3, 1, 4), entry])
+
+    def test_bool_polar_key_rejected(self):
+        with pytest.raises(ValidationError):
+            HypersurfaceSpec(3, 2, F(4), {True: GradedClass.single(3, 2, 3)})
+
+    def test_ambient_tangent_must_be_series(self):
+        with pytest.raises(ValidationError):
+            HypersurfaceSpec(3, 2, F(4), {}, ambient_tangent=C(3, 1, 0, 0, 0))
+
     def test_ambient_tangent_checks(self):
         with pytest.raises(DimensionMismatchError):
             HypersurfaceSpec(3, 2, F(4), {}, ambient_tangent=S(2, 1, 3, 3))
@@ -115,7 +137,24 @@ class TestHypersurfaceSpecValidation:
             assert HypersurfaceSpec.from_json(spec.to_json()) == spec
 
 
+def _reference_total_polar(spec):
+    """total_polar_class as the sum of one dual and one twist per polar class."""
+    o1 = LineBundleOnPn(F(1))
+    total = GradedClass.zero(spec.n)
+    for cls in spec.polar:
+        if not cls.is_zero():
+            total = total + cls.dual(spec.n).twist(o1, spec.n)
+    return -total if (spec.n - spec.r) % 2 else total
+
+
 class TestTotalPolarClass:
+    @pytest.mark.parametrize(
+        "spec", [TD, CONE3, CONIC, TWISTED_CUBIC, DENSE_P48, CONE_P120],
+        ids=["TD", "CONE3", "CONIC", "TWISTED_CUBIC", "DENSE_P48", "CONE_P120"],
+    )
+    def test_matches_per_piece_sum(self, spec):
+        assert cc.total_polar_class(spec) == _reference_total_polar(spec)
+
     def test_tangent_developable(self):
         assert cc.total_polar_class(TD) == C(3, 0, 4, -7, 10)
 
@@ -248,11 +287,8 @@ class TestCsmRoutes:
 
 class TestRoutesAgreeAtLargeN:
     def test_dense_hypersurface_of_p48(self):
-        # every polar class nonzero; [P_0] = d[P^47], the shape of a
-        # degree-d hypersurface, so that the Fulton-based routes apply
-        n, d = 48, F(7, 2)
-        degrees = [d] + [F((-1) ** k * (k % 7 + 1), k % 3 + 1) for k in range(1, n)]
-        spec = spec_polar(n, n - 1, d, degrees)
+        spec = DENSE_P48
+        n, d = spec.n, spec.d
         inv = InvariantData(F(-3, 2), F(5, 3))
         c_mather = cc.mather_from_polar(spec)
         assert c_mather == cc.mather_double_sum(spec)
@@ -263,10 +299,8 @@ class TestRoutesAgreeAtLargeN:
         assert cc.mather_from_segre(s_yx, n, d) == c_mather
 
     def test_cone_type_hypersurface_of_p120(self):
-        # only P_0 and P_1 nonzero: the double sum skips every other
-        # polar class, and the kernels convolve mostly-zero vectors
-        n, d = 120, F(9, 4)
-        spec = spec_polar(n, n - 1, d, [d, F(-37, 5)])
+        spec = CONE_P120
+        n, d = spec.n, spec.d
         inv = InvariantData(F(7, 3), F(-2, 5))
         c_mather = cc.mather_from_polar(spec)
         assert c_mather == cc.mather_double_sum(spec)
@@ -327,6 +361,11 @@ class TestBundleData:
             BundleData(-1, S(2, 1, 0, 0))
         with pytest.raises(ValidationError):
             BundleData(1, S(2, 2, 0, 0))
+
+    @pytest.mark.parametrize("total_chern", [C(2, 1, 0, 0), "1", None])
+    def test_total_chern_must_be_series(self, total_chern):
+        with pytest.raises(ValidationError):
+            BundleData(1, total_chern)
 
     @pytest.mark.parametrize("rank", [True, 1.0], ids=["bool", "float"])
     def test_non_integer_rank_rejected(self, rank):

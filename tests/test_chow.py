@@ -223,6 +223,61 @@ class TestConvolveKernel:
         assert _convolve(b, a) == _reference_convolve(b, a)
 
 
+def _reference_chern(degree, n, power):
+    """(1 + degree*H)^power mod H^(n+1) by the Fraction recurrence
+    a_k = a_{k-1} * (power - k + 1) * degree / k."""
+    coeffs = [F(1)]
+    for k in range(1, n + 1):
+        coeffs.append(coeffs[-1] * (power - k + 1) * degree / k)
+    return tuple(coeffs)
+
+
+def _reference_twist(coeffs, degree, m):
+    """twist in Fraction arithmetic: piece k times (1 + degree*H)^(n-k-m)."""
+    n = len(coeffs) - 1
+    out = [F(0)] * (n + 1)
+    for k, a in enumerate(coeffs):
+        if a:
+            for i, s in enumerate(_reference_chern(degree, n - k, n - k - m)):
+                out[k + i] += a * s
+    return tuple(out)
+
+
+_DEGREES = [F(0), F(1), F(-1), F(-5, 3), F(4), F(7, 2), F(1, 9)]
+
+
+class TestLineBundleKernel:
+    """chern and twist work on integer numerators and binomials; their
+    results must equal the Fraction loops' exactly."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "coprime", "integer", "zero"])
+    def test_twist_matches_fraction_loop(self, kind):
+        rng = random.Random(kind)
+        for n in range(31):
+            a = _operand(rng, n, kind)
+            for degree in _DEGREES:
+                for m in (n, n - 1, n + 2, 0):
+                    got = GradedClass(n, a).twist(LineBundleOnPn(degree), m).coeffs
+                    assert got == _reference_twist(a, degree, m)
+                    assert all(type(c) is F for c in got)
+
+    def test_twist_entry_past_digit_limit(self):
+        a = list(_operand(random.Random(0), 12, "mixed"))
+        a[3] = F(-(10**4400) + 7, 3**5)
+        for degree in _DEGREES:
+            for m in (12, 11, 14, 0):
+                got = GradedClass(12, tuple(a)).twist(LineBundleOnPn(degree), m)
+                assert got.coeffs == _reference_twist(a, degree, m)
+
+    def test_chern_matches_fraction_recurrence(self):
+        for degree in (F(-5, 3), F(7, 2), F(1, 9), F(-22, 7)):
+            for n in range(16):
+                for e in range(-n - 2, n + 3):
+                    got = LineBundleOnPn(degree).chern(n, e).coeffs
+                    assert got == _reference_chern(degree, n, e)
+                    assert all(type(c) is F for c in got)
+
+
 class TestDualAndTwist:
     def test_dual_signs(self):
         assert C(3, 0, 4, -7, 10).dual(3) == C(3, 0, -4, -7, -10)
@@ -276,6 +331,11 @@ class TestDualAndTwist:
             a.dual(m)
         with pytest.raises(ValidationError):
             a.twist(LineBundleOnPn(F(2)), m)
+
+    @pytest.mark.parametrize("bundle", [2, F(2), None, S(3, 1, 2, 0, 0)])
+    def test_twist_needs_a_line_bundle(self, bundle):
+        with pytest.raises(ValidationError):
+            C(3, 0, 4, -7, 10).twist(bundle)
 
 
 @pytest.mark.parametrize("power", [1.5, 2.0, True, "2", None])

@@ -1,0 +1,49 @@
+"""What the benchmark's outside-in tracer (``bench/tracer.py``) needs of
+the engine: every method it wraps is bound in its own class body, and
+``GradedClass.twist`` reaches no other traced kernel, since the tracer
+counts twist's products from its arguments alone."""
+
+import importlib.util
+from fractions import Fraction as F
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from csmcalc import charclass, chow, scenarios
+from csmcalc.chow import GradedClass, HSeries, LineBundleOnPn
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer():
+    if not TRACER.is_file():
+        pytest.skip("no bench/tracer.py in this checkout")
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer(SimpleNamespace(chow=chow, charclass=charclass, scenarios=scenarios))
+
+
+def test_every_traced_method_is_in_its_own_class_dict():
+    tracer = _tracer()
+    twist = GradedClass.__dict__["twist"]
+    try:
+        tracer.install()  # reads owner.__dict__[attr] for every wrapped method
+        assert GradedClass.__dict__["twist"] is not twist
+    except KeyError as exc:
+        pytest.fail(f"the tracer wraps {exc}, which is not in its class __dict__")
+    finally:
+        tracer.uninstall()
+    assert GradedClass.__dict__["twist"] is twist
+
+
+def test_twist_calls_no_series_kernel(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("twist must not call another kernel")
+
+    for attr in ("cap", "__mul__", "__rmul__"):
+        monkeypatch.setattr(HSeries, attr, forbidden)
+    monkeypatch.setattr(LineBundleOnPn, "chern", forbidden)
+    got = GradedClass.from_coeffs(3, [0, -4, -7, -10]).twist(LineBundleOnPn(F(4)), 3)
+    assert got == GradedClass.from_coeffs(3, [0, -4, 9, -18])
