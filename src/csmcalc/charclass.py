@@ -48,6 +48,7 @@ from .chow import (
     _alternate,
     _check_keys,
     _is_int,
+    _numerators,
     _parse_dim,
 )
 from .errors import (
@@ -175,10 +176,12 @@ class HypersurfaceSpec:
             raise ValidationError("need 0 <= r < n for a proper subvariety")
         object.__setattr__(self, "d", as_rational(self.d))
 
-        if isinstance(self.polar, dict):
-            items = self.polar
-        else:
-            items = dict(enumerate(self.polar))
+        try:
+            items = self.polar if isinstance(self.polar, dict) else dict(enumerate(self.polar))
+        except TypeError:
+            raise ValidationError(
+                f"polar must be a dict or a sequence, got {type(self.polar).__name__}"
+            ) from None
         dense: list[GradedClass] = [GradedClass.zero(self.n)] * (self.r + 1)
         for k, cls in items.items():
             if not _is_int(k) or k < 0:
@@ -218,9 +221,6 @@ class HypersurfaceSpec:
     def fundamental_class(self) -> GradedClass:
         return self.polar[0]
 
-    def tangent_series(self) -> HSeries:
-        return self.ambient_tangent if self.ambient_tangent is not None else tangent_chern(self.n)
-
     def to_json(self) -> dict:
         data = {
             "n": self.n,
@@ -259,9 +259,9 @@ class HypersurfaceSpec:
 def fulton_class(n: int, d) -> GradedClass:
     """Fulton class of a degree-d hypersurface of P^n.
 
-    c_F = c(TP^n) cap s(X, P^n) with s(X, P^n) = [X]/(1+X); for smooth X
-    this is the total Chern class of X, and its degree-zero part is the
-    topological Euler characteristic.
+    c_F = c(TP^n) cap s(X, P^n) with s(X, P^n) = [X]/(1+X) from the
+    linear-factor kernel; for smooth X this is the total Chern class of
+    X, and its degree-zero part is the topological Euler characteristic.
     """
     if n < 1:
         raise ValidationError("fulton_class needs n >= 1")
@@ -298,17 +298,18 @@ def mather_double_sum(spec: HypersurfaceSpec) -> GradedClass:
 
     Independent route from :func:`mather_from_polar`; the two agree on
     every well-formed input.  Terms with k > r land below dimension zero
-    and are dropped by truncation.
+    and are dropped by truncation.  On integers: [P_j] = T_j/den lives in
+    codimension n-r+j and adds (-1)^j * C(r+1-j, i) * T_j to n-r+j+i.
     """
     n, r = spec.n, spec.r
-    # [P_j] lives only in codimension n-r+j, so the k-th sum lands in n-r+k
-    top = [p.coeffs[n - r + j] for j, p in enumerate(spec.polar)]
-    out = [Fraction(0)] * (n + 1)
-    for k in range(r + 1):
-        for i in range(k + 1):
-            if top[k - i]:
-                out[n - r + k] += (-1) ** (k - i) * comb(r + 1 - k + i, i) * top[k - i]
-    return GradedClass(n, tuple(out))
+    nums, den = _numerators([p.coeffs[n - r + j] for j, p in enumerate(spec.polar)])
+    out = [0] * (n + 1)
+    for j, t in enumerate(nums):
+        if t:
+            t = -t if j % 2 else t
+            for i in range(r + 1 - j):
+                out[n - r + j + i] += comb(r + 1 - j, i) * t
+    return GradedClass(n, tuple(Fraction(c, den) for c in out))
 
 
 def interpolated_class(
@@ -318,16 +319,15 @@ def interpolated_class(
 
         c_(alpha) = c_F + (1 - alpha)/(1 + alpha*X) cap (c_Ma - c_F)
 
-    with X acting as d*H.  Defined for every rational alpha; alpha = 0
-    returns c_Ma and alpha = 1 returns c_F exactly.
+    with X acting as d*H: c_Ma - c_F is divided by (1 + alpha*d*H) in the
+    linear-factor kernel, then scaled by 1 - alpha.  Defined for every
+    rational alpha; alpha = 0 returns c_Ma and alpha = 1 returns c_F
+    exactly.
     """
     if c_fulton.ambient_dim != c_mather.ambient_dim:
         raise DimensionMismatchError("Fulton and Mather classes disagree on P^n")
-    n = c_fulton.ambient_dim
     alpha = as_rational(alpha)
-    d = as_rational(d)
-    weight = LineBundleOnPn(alpha * d).chern(n, -1) * (1 - alpha)
-    return c_fulton + weight.cap(c_mather - c_fulton)
+    return c_fulton + (c_mather - c_fulton).div_linear(alpha * as_rational(d)) * (1 - alpha)
 
 
 def csm_from_interpolation(
@@ -343,35 +343,39 @@ def csm_from_polar(spec: HypersurfaceSpec, inv: InvariantData) -> GradedClass:
         c_SM = c(TM) cap rho[X]/(1 + rho X) + c(TP^n) cap sigma[P]/(1 + rho X).
 
     c(TM) is ``spec.ambient_tangent`` (c(TP^n) by default) and X acts
-    as ``spec.d`` times H.
+    as ``spec.d`` times H.  The two caps are taken first (one cap of the
+    sum when c(TM) = c(TP^n)), then the sum is divided once by
+    (1 + rho*d*H) in the linear-factor kernel.
     """
-    n = spec.n
-    denominator = LineBundleOnPn(inv.rho * spec.d).chern(n, -1)
-    virtual = (spec.tangent_series() * denominator).cap(inv.rho * spec.fundamental_class)
-    milnor = (tangent_chern(n) * denominator).cap(inv.sigma * total_polar_class(spec))
-    return virtual + milnor
+    tangent = tangent_chern(spec.n)
+    virtual = inv.rho * spec.fundamental_class
+    milnor = inv.sigma * total_polar_class(spec)
+    if spec.ambient_tangent is None:
+        capped = tangent.cap(virtual + milnor)
+    else:
+        capped = spec.ambient_tangent.cap(virtual) + tangent.cap(milnor)
+    return capped.div_linear(inv.rho * spec.d)
 
 
 def segre_ym_to_yx(s_ym: GradedClass, d, inv: InvariantData) -> GradedClass:
     """Segre class of Y in X from the one in M:
 
-        s(Y,X) = ((chi - Eu)/(chi - 1) + X) . s(Y,M)  =  (1/sigma + X) . s(Y,M).
+        s(Y,X) = ((chi - Eu)/(chi - 1) + X) . s(Y,M)  =  (1/sigma + X) . s(Y,M),
+
+    one multiplication in the linear-factor kernel.
     """
-    n = s_ym.ambient_dim
-    series = HSeries.from_coeffs(n, [1 / inv.sigma, as_rational(d)])
-    return series.cap(s_ym)
+    return s_ym.mul_linear(1 / inv.sigma, d)
 
 
 def segre_yx_to_ym(s_yx: GradedClass, d, inv: InvariantData) -> GradedClass:
-    """Inverse conversion: s(Y,M) = sigma/(1 + sigma X) cap s(Y,X)."""
-    n = s_yx.ambient_dim
-    series = LineBundleOnPn(inv.sigma * as_rational(d)).chern(n, -1) * inv.sigma
-    return series.cap(s_yx)
+    """Inverse conversion: s(Y,M) = sigma/(1 + sigma X) cap s(Y,X), one
+    division in the linear-factor kernel, then a scaling by sigma."""
+    return s_yx.div_linear(inv.sigma * as_rational(d)) * inv.sigma
 
 
 def _hypersurface_segre_part(n: int, d: Fraction) -> GradedClass:
     # s(X, P^n) = [X]/(1+X) for a degree-d hypersurface of P^n
-    return LineBundleOnPn(d).chern(n, -1).cap(GradedClass.single(n, 1, d))
+    return GradedClass.single(n, 1, d).div_linear(d)
 
 
 def mather_from_segre(s_yx: GradedClass, n: int, d) -> GradedClass:
@@ -391,13 +395,13 @@ def csm_from_segre(s_ym: GradedClass, n: int, d) -> GradedClass:
 
         c_SM = c(TP^n) cap ( [X]/(1+X) + dual(c(L) cap s(Y,M)) twisted by O(d) )
 
-    with L = O(d) restricted to Y.
+    with L = O(d) restricted to Y; c(L) cap s(Y,M) is one multiplication
+    by (1 + d*H) in the linear-factor kernel.
     """
     if s_ym.ambient_dim != n:
         raise DimensionMismatchError("Segre class has the wrong ambient dimension")
     d = as_rational(d)
-    bundle = LineBundleOnPn(d)
-    twisted = bundle.chern(n).cap(s_ym).dual(n).twist(bundle, n)
+    twisted = s_ym.mul_linear(1, d).dual(n).twist(LineBundleOnPn(d), n)
     return tangent_chern(n).cap(_hypersurface_segre_part(n, d) + twisted)
 
 
@@ -433,11 +437,11 @@ def segre_from_polar(
 
 def solver_lhs(c_mather: GradedClass, c_fulton: GradedClass, d) -> GradedClass:
     """(1 + X) cap (c_Ma - c_F): the singular correction term that the
-    invariant solver equates with ((Eu-chi) + (Eu-1)X) . (c(TY') cap [Y'])."""
+    invariant solver equates with ((Eu-chi) + (Eu-1)X) . (c(TY') cap [Y']),
+    one multiplication by (1 + d*H) in the linear-factor kernel."""
     if c_mather.ambient_dim != c_fulton.ambient_dim:
         raise DimensionMismatchError("Mather and Fulton classes disagree on P^n")
-    n = c_mather.ambient_dim
-    return LineBundleOnPn(as_rational(d)).chern(n).cap(c_mather - c_fulton)
+    return (c_mather - c_fulton).mul_linear(1, d)
 
 
 def solve_invariants(
@@ -450,17 +454,21 @@ def solve_invariants(
     must have rank 2 (it cannot when d = 0 or Y' is zero-dimensional),
     every equation must hold exactly, and the solved invariants must be
     non-degenerate.  Returns (eu, chi).
+
+    Solved on integers: with d = p/q and c_y, lhs over their common
+    denominators dy, dl, every row is scaled by q*dy*dl.
     """
     if lhs.ambient_dim != c_y.ambient_dim:
         raise DimensionMismatchError("solver inputs disagree on P^n")
-    n = lhs.ambient_dim
     d = as_rational(d)
-    # Row k:  u * c_y[k] + v * d * c_y[k-1]  =  lhs[k]
-    rows = []
-    for k in range(n + 1):
-        a = c_y.coeffs[k]
-        b = d * c_y.coeffs[k - 1] if k >= 1 else Fraction(0)
-        rows.append((a, b, lhs.coeffs[k]))
+    p, q = d.numerator, d.denominator
+    ys, dy = _numerators(c_y.coeffs)
+    ls, dl = _numerators(lhs.coeffs)
+    # Row k:  u * c_y[k] + v * d * c_y[k-1]  =  lhs[k], times q*dy*dl
+    rows = [
+        (y * q * dl, p * ys[k - 1] * dl if k else 0, c * q * dy)
+        for k, (y, c) in enumerate(zip(ys, ls))
+    ]
 
     pivot = None
     for i in range(len(rows)):
@@ -476,13 +484,14 @@ def solve_invariants(
             "invariant system has rank < 2 (need d != 0 and dim Y' > 0)"
         )
     i, j, det = pivot
-    u = (rows[i][2] * rows[j][1] - rows[j][2] * rows[i][1]) / det
-    v = (rows[i][0] * rows[j][2] - rows[j][0] * rows[i][2]) / det
+    u_det = rows[i][2] * rows[j][1] - rows[j][2] * rows[i][1]  # Cramer's rule
+    v_det = rows[i][0] * rows[j][2] - rows[j][0] * rows[i][2]
     for a, b, c in rows:
-        if a * u + b * v != c:
+        if a * u_det + b * v_det != c * det:
             raise InconsistentSystemError(
                 "class data is not consistent with constant (Eu, chi)"
             )
+    u, v = Fraction(u_det, det), Fraction(v_det, det)
     eu = v + 1
     chi = eu - u
     InvariantData(chi, eu)  # reject chi = 1 and chi = Eu

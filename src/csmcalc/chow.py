@@ -449,6 +449,33 @@ class GradedClass(_CoeffVector):
         d = den * q**n
         return GradedClass(n, tuple(Fraction(c, d) for c in out))
 
+    # The linear-factor kernel: cap with (a + b*H) or with 1/(1 + lam*H)
+    # in O(n), on integer numerators over one common denominator den.
+
+    def mul_linear(self, a, b) -> "GradedClass":
+        """The class capped with (a + b*H): with entries N_k/den, a = A/q
+        and b = B/q, entry k is (A*N_k + B*N_(k-1)) / (den*q), reduced once."""
+        (na, nb), q = _numerators((as_rational(a), as_rational(b)))
+        nums, den = _numerators(self.coeffs)
+        d = den * q
+        return GradedClass(self.ambient_dim, tuple(
+            Fraction(na * x + nb * y, d) for x, y in zip(nums, [0] + nums)
+        ))
+
+    def div_linear(self, lam) -> "GradedClass":
+        """The class capped with 1/(1 + lam*H), i.e. Y_k = X_k - lam*Y_(k-1):
+        with entries X_k = N_k/den and lam = p/q, B_k = N_k*q^k - p*B_(k-1)
+        on integers and Y_k = B_k / (den*q^k), each reduced once."""
+        lam = as_rational(lam)
+        p, q = lam.numerator, lam.denominator
+        nums, den = _numerators(self.coeffs)
+        out, b, qk = [], 0, 1
+        for x in nums:
+            b = x * qk - p * b
+            out.append(Fraction(b, den * qk))
+            qk *= q
+        return GradedClass(self.ambient_dim, tuple(out))
+
     def degree_zero_part(self) -> Fraction:
         """Coefficient of the point class [P^0]."""
         return self.coeffs[self.ambient_dim]

@@ -5,11 +5,14 @@ independent symbolic-series oracle; the classical tangent-developable
 and nodal-cone inputs carry published answers.
 """
 
+import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from csmcalc import charclass as cc
+from csmcalc import scenarios
 from csmcalc.charclass import BundleData, HypersurfaceSpec, InvariantData
 from csmcalc.chow import GradedClass, HSeries, LineBundleOnPn, tangent_chern
 from csmcalc.errors import (
@@ -118,6 +121,11 @@ class TestHypersurfaceSpecValidation:
         with pytest.raises(ValidationError):
             HypersurfaceSpec(3, 2, F(4), [GradedClass.single(3, 1, 4), entry])
 
+    @pytest.mark.parametrize("polar", [None, 5], ids=["None", "int"])
+    def test_non_iterable_polar_rejected(self, polar):
+        with pytest.raises(ValidationError, match="polar must be a dict or a sequence"):
+            HypersurfaceSpec(3, 2, F(4), polar)
+
     def test_bool_polar_key_rejected(self):
         with pytest.raises(ValidationError):
             HypersurfaceSpec(3, 2, F(4), {True: GradedClass.single(3, 2, 3)})
@@ -192,6 +200,41 @@ class TestMatherClass:
             smooth = spec_polar(n, n - 1, d, [d * (d - 1) ** k for k in range(n)])
             assert cc.mather_double_sum(smooth) == cc.fulton_class(n, d)
             assert cc.mather_from_polar(smooth) == cc.fulton_class(n, d)
+
+
+def _reference_double_sum(spec):
+    """mather_double_sum in Fraction arithmetic, term by term."""
+    n, r = spec.n, spec.r
+    top = [p.coeffs[n - r + j] for j, p in enumerate(spec.polar)]
+    out = [F(0)] * (n + 1)
+    for k in range(r + 1):
+        for i in range(k + 1):
+            if top[k - i]:
+                out[n - r + k] += (-1) ** (k - i) * comb(r + 1 - k + i, i) * top[k - i]
+    return GradedClass(n, tuple(out))
+
+
+# the worked inputs, the two large ones and the shipped fixture
+FIXTURE_TD = HypersurfaceSpec.from_json(
+    scenarios.fixture_json("tangent_developable_spec.json")
+)
+ALL_SPECS = [TD, CONE3, CONIC, TWISTED_CUBIC, DENSE_P48, CONE_P120, FIXTURE_TD]
+ALL_SPEC_IDS = ["TD", "CONE3", "CONIC", "TWISTED_CUBIC", "DENSE_P48", "CONE_P120", "FIXTURE_TD"]
+
+
+class TestIntegerDoubleSum:
+    """mather_double_sum sums integer numerators; its result must equal the
+    Fraction double loop's exactly."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=ALL_SPEC_IDS)
+    def test_matches_fraction_loop(self, spec):
+        got = cc.mather_double_sum(spec)
+        assert got == _reference_double_sum(spec)
+        assert all(type(c) is F for c in got.coeffs)
+
+    def test_zero_polar_data(self):
+        spec = HypersurfaceSpec(5, 3, F(2), {})
+        assert cc.mather_double_sum(spec) == GradedClass.zero(5) == _reference_double_sum(spec)
 
 
 class TestInvariantData:
@@ -448,6 +491,194 @@ class TestSolverLhs:
     def test_cone_degree_three(self):
         got = cc.solver_lhs(cc.mather_from_polar(CONE3), cc.fulton_class(3, 3), 3)
         assert got == C(3, 0, 0, 2, -2)
+
+
+# The linear-factor routes as caps by dense series of 1/(1 + lam*H) and
+# (a + b*H), the way they were computed before the linear-factor kernel.
+
+
+def _reference_segre_part(n, d):
+    return LineBundleOnPn(d).chern(n, -1).cap(GradedClass.single(n, 1, d))
+
+
+def _reference_fulton(n, d):
+    return tangent_chern(n).cap(_reference_segre_part(n, d))
+
+
+def _reference_interpolated(c_fulton, c_mather, d, alpha):
+    n = c_fulton.ambient_dim
+    weight = LineBundleOnPn(alpha * d).chern(n, -1) * (1 - alpha)
+    return c_fulton + weight.cap(c_mather - c_fulton)
+
+
+def _reference_csm_from_polar(spec, inv):
+    n = spec.n
+    tangent = spec.ambient_tangent if spec.ambient_tangent is not None else tangent_chern(n)
+    denominator = LineBundleOnPn(inv.rho * spec.d).chern(n, -1)
+    virtual = (tangent * denominator).cap(inv.rho * spec.fundamental_class)
+    milnor = (tangent_chern(n) * denominator).cap(inv.sigma * cc.total_polar_class(spec))
+    return virtual + milnor
+
+
+def _reference_ym_to_yx(s_ym, d, inv):
+    return HSeries.from_coeffs(s_ym.ambient_dim, [1 / inv.sigma, d]).cap(s_ym)
+
+
+def _reference_yx_to_ym(s_yx, d, inv):
+    n = s_yx.ambient_dim
+    return (LineBundleOnPn(inv.sigma * d).chern(n, -1) * inv.sigma).cap(s_yx)
+
+
+def _reference_mather_from_segre(s_yx, n, d):
+    inner = _reference_segre_part(n, d) + s_yx.dual(n).twist(LineBundleOnPn(d), n)
+    return tangent_chern(n).cap(inner)
+
+
+def _reference_csm_from_segre(s_ym, n, d):
+    bundle = LineBundleOnPn(d)
+    twisted = bundle.chern(n).cap(s_ym).dual(n).twist(bundle, n)
+    return tangent_chern(n).cap(_reference_segre_part(n, d) + twisted)
+
+
+def _reference_solver_lhs(c_mather, c_fulton, d):
+    return LineBundleOnPn(d).chern(c_mather.ambient_dim).cap(c_mather - c_fulton)
+
+
+class TestLinearFactorRoutes:
+    """Every route that divides or multiplies by one linear factor gives
+    exactly the answer of the dense-series caps it replaces."""
+
+    INVARIANTS = [InvariantData(F(-3, 2), F(5, 3)), InvariantData(F(7, 3), F(-2, 5))]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=ALL_SPEC_IDS)
+    def test_polar_routes(self, spec):
+        n, d = spec.n, spec.d
+        for inv in self.INVARIANTS:
+            assert cc.csm_from_polar(spec, inv) == _reference_csm_from_polar(spec, inv)
+        s_yx = cc.segre_from_polar(spec, BundleData(n - spec.r, S(n, 1, *[3] * (n - spec.r))))
+        for inv in self.INVARIANTS:
+            s_ym = cc.segre_yx_to_ym(s_yx, d, inv)
+            assert s_ym == _reference_yx_to_ym(s_yx, d, inv)
+            assert cc.segre_ym_to_yx(s_ym, d, inv) == _reference_ym_to_yx(s_ym, d, inv)
+
+    def test_polar_route_with_ambient_tangent(self):
+        quadric_tangent = tangent_chern(3) * LineBundleOnPn(F(2)).chern(3).inverse()
+        curve = spec_polar(3, 1, F(4, 3), [3, F(-4, 7)], ambient_tangent=quadric_tangent)
+        for inv in self.INVARIANTS:
+            assert cc.csm_from_polar(curve, inv) == _reference_csm_from_polar(curve, inv)
+
+    @pytest.mark.parametrize(
+        "spec", [TD, CONE3, CONIC, DENSE_P48, CONE_P120, FIXTURE_TD],
+        ids=["TD", "CONE3", "CONIC", "DENSE_P48", "CONE_P120", "FIXTURE_TD"],
+    )
+    def test_hypersurface_routes(self, spec):
+        n, d = spec.n, spec.d
+        c_fulton = cc.fulton_class(n, d)
+        assert c_fulton == _reference_fulton(n, d)
+        c_mather = cc.mather_from_polar(spec)
+        for alpha in (F(0), F(1), F(2, 5), F(-3, 2)):
+            got = cc.interpolated_class(c_fulton, c_mather, d, alpha)
+            assert got == _reference_interpolated(c_fulton, c_mather, d, alpha)
+        assert cc.solver_lhs(c_mather, c_fulton, d) == _reference_solver_lhs(c_mather, c_fulton, d)
+        s_yx = cc.segre_from_polar(spec, BundleData.line(n, d))
+        s_ym = cc.segre_yx_to_ym(s_yx, d, self.INVARIANTS[0])
+        assert cc.mather_from_segre(s_yx, n, d) == _reference_mather_from_segre(s_yx, n, d)
+        assert cc.csm_from_segre(s_ym, n, d) == _reference_csm_from_segre(s_ym, n, d)
+
+
+def _reference_solve(lhs, c_y, d):
+    """solve_invariants in Fraction arithmetic, row by row."""
+    n = lhs.ambient_dim
+    rows = []
+    for k in range(n + 1):
+        a = c_y.coeffs[k]
+        b = d * c_y.coeffs[k - 1] if k >= 1 else F(0)
+        rows.append((a, b, lhs.coeffs[k]))
+    pivot = None
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            det = rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
+            if det != 0:
+                pivot = (i, j, det)
+                break
+        if pivot:
+            break
+    if pivot is None:
+        raise UnderdeterminedSystemError(
+            "invariant system has rank < 2 (need d != 0 and dim Y' > 0)"
+        )
+    i, j, det = pivot
+    u = (rows[i][2] * rows[j][1] - rows[j][2] * rows[i][1]) / det
+    v = (rows[i][0] * rows[j][2] - rows[j][0] * rows[i][2]) / det
+    for a, b, c in rows:
+        if a * u + b * v != c:
+            raise InconsistentSystemError(
+                "class data is not consistent with constant (Eu, chi)"
+            )
+    eu = v + 1
+    chi = eu - u
+    InvariantData(chi, eu)
+    return eu, chi
+
+
+def _outcome(solve, lhs, c_y, d):
+    """The answer, or the type and message of the error raised."""
+    try:
+        return solve(lhs, c_y, d)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _planted_lhs(c_y, d, eu, chi):
+    """lhs = ((Eu - chi) + (Eu - 1) d H) . c_y"""
+    n = c_y.ambient_dim
+    shifted = GradedClass(n, (F(0),) + c_y.coeffs[:-1])
+    return (eu - chi) * c_y + ((eu - 1) * d) * shifted
+
+
+class TestIntegerSolver:
+    """solve_invariants scales every row to integers; its answers, errors
+    and messages must equal the Fraction solver's."""
+
+    C_Y = C(6, 0, F(2, 3), F(-5, 4), 7, F(1, 9), 0, F(-11, 6))
+
+    @pytest.mark.parametrize("d", [F(7, 2), F(-5, 3), F(1, 12), F(4)])
+    @pytest.mark.parametrize("eu,chi", [(F(2), F(-1)), (F(5, 3), F(-3, 2)), (F(-2, 7), F(9, 4))])
+    def test_planted_invariants(self, d, eu, chi):
+        lhs = _planted_lhs(self.C_Y, d, eu, chi)
+        got = cc.solve_invariants(lhs, self.C_Y, d)
+        assert got == _reference_solve(lhs, self.C_Y, d) == (eu, chi)
+
+    def test_random_systems(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            c_y = C(n, *[
+                F(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 6)) for _ in range(n + 1)
+            ])
+            d = F(rng.randint(-6, 6), rng.randint(1, 5))
+            if rng.random() < 0.5:
+                lhs = _planted_lhs(c_y, d, F(rng.randint(-5, 5), 3), F(rng.randint(-5, 5), 2))
+            else:
+                lhs = C(n, *[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)])
+            got = _outcome(cc.solve_invariants, lhs, c_y, d)
+            assert got == _outcome(_reference_solve, lhs, c_y, d)
+
+    @pytest.mark.parametrize(
+        "lhs,d,error",
+        [
+            (_planted_lhs(C_Y, F(0), F(2), F(-1)), F(0), UnderdeterminedSystemError),
+            (_planted_lhs(C_Y, F(7, 2), F(2), F(-1)) + C(6, 0, 0, 0, 0, 0, 0, F(1, 5)),
+             F(7, 2), InconsistentSystemError),
+            (_planted_lhs(C_Y, F(7, 2), F(3, 4), F(1)), F(7, 2), DegenerateInvariantsError),
+            (_planted_lhs(C_Y, F(-5, 3), F(3, 4), F(3, 4)), F(-5, 3), DegenerateInvariantsError),
+        ],
+        ids=["rank-below-two", "inconsistent", "chi-one", "chi-equals-eu"],
+    )
+    def test_error_paths(self, lhs, d, error):
+        got = _outcome(cc.solve_invariants, lhs, self.C_Y, d)
+        assert got[0] is error
+        assert got == _outcome(_reference_solve, lhs, self.C_Y, d)
 
 
 class TestSolveInvariants:

@@ -278,6 +278,48 @@ class TestLineBundleKernel:
                     assert all(type(c) is F for c in got)
 
 
+class TestLinearFactorKernel:
+    """mul_linear and div_linear work on integer numerators in O(n); their
+    results must equal the caps by the dense series they replace."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "coprime", "integer", "zero"])
+    def test_matches_cap_by_line_bundle_series(self, kind):
+        rng = random.Random(f"linear-{kind}")
+        for n in range(41):
+            cls = GradedClass(n, _operand(rng, n, kind))
+            for lam in _DEGREES:
+                bundle = LineBundleOnPn(lam)
+                div = cls.div_linear(lam)
+                assert div == bundle.chern(n, -1).cap(cls)
+                assert div.mul_linear(1, lam) == cls
+                assert cls.mul_linear(1, lam) == bundle.chern(n).cap(cls)
+                assert all(type(c) is F for c in div.coeffs)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(F(1), F(-5, 3)), (F(-5, 3), F(7, 2)), (F(1, 9), F(0)), (F(0), F(1)),
+         (F(0), F(0)), (F(-4), F(6, 35)), ("3/4", -2)],
+    )
+    def test_mul_matches_cap_by_two_term_series(self, a, b):
+        rng = random.Random(f"{a}-{b}")
+        for n in range(41):
+            cls = GradedClass(n, _operand(rng, n, "mixed"))
+            got = cls.mul_linear(a, b)
+            assert got == HSeries.from_coeffs(n, [a, b]).cap(cls)
+            assert all(type(c) is F for c in got.coeffs)
+
+    def test_entry_past_digit_limit(self):
+        a = list(_operand(random.Random(0), 12, "mixed"))
+        a[3] = F(-(10**4400) + 7, 3**5)
+        cls = GradedClass(12, tuple(a))
+        for lam in _DEGREES:
+            bundle = LineBundleOnPn(lam)
+            assert cls.div_linear(lam) == bundle.chern(12, -1).cap(cls)
+            assert cls.mul_linear(F(-5, 3), lam) == HSeries.from_coeffs(
+                12, [F(-5, 3), lam]
+            ).cap(cls)
+
+
 class TestDualAndTwist:
     def test_dual_signs(self):
         assert C(3, 0, 4, -7, 10).dual(3) == C(3, 0, -4, -7, -10)

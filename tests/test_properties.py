@@ -13,6 +13,11 @@ from csmcalc.scenarios import euler_smooth_hypersurface
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 small_dims = st.integers(min_value=0, max_value=5)
 
+# A bounded profile for the paper identities far beyond the small specs:
+# ambient dimension 7 to 60, few examples, since each runs whole routes.
+large_dims = st.integers(min_value=7, max_value=60)
+large_n = settings(max_examples=10, deadline=None)
+
 
 def _coeff_lists(n):
     return st.lists(rationals, min_size=n + 1, max_size=n + 1)
@@ -47,8 +52,8 @@ def series_and_class(draw, pairs=1):
 
 
 @st.composite
-def graded_classes(draw):
-    n = draw(small_dims)
+def graded_classes(draw, dims=small_dims):
+    n = draw(dims)
     return GradedClass(n, tuple(draw(_coeff_lists(n))))
 
 
@@ -67,13 +72,14 @@ def admissible_invariants(draw):
 
 
 @st.composite
-def polar_specs(draw, hypersurface_only=False, degree_consistent=False):
+def polar_specs(draw, hypersurface_only=False, degree_consistent=False,
+                dims=st.integers(min_value=1, max_value=6)):
     """Random polar data with the right support dimensions.
 
     degree_consistent forces [P_0] = d[P^{n-1}], the shape carried by an
     honest degree-d hypersurface of P^n.
     """
-    n = draw(st.integers(min_value=1, max_value=6))
+    n = draw(dims)
     r = n - 1 if hypersurface_only else draw(st.integers(min_value=0, max_value=n - 1))
     d = draw(rationals)
     polar = {
@@ -215,6 +221,22 @@ class TestCsmRouteEquality:
         )
 
 
+def _forward_then_solve(n, data):
+    # random Y' class with positive-dimensional support
+    k0 = data.draw(st.integers(min_value=1, max_value=n - 1))
+    coeffs = [F(0)] * (n + 1)
+    coeffs[k0] = data.draw(rationals.filter(lambda q: q != 0))
+    for k in range(k0 + 1, n + 1):
+        coeffs[k] = data.draw(rationals)
+    c_y = GradedClass(n, tuple(coeffs))
+    d = data.draw(rationals.filter(lambda q: q != 0))
+    inv = data.draw(admissible_invariants())
+    u, v = inv.eu - inv.chi, inv.eu - 1
+    shifted = GradedClass(n, (F(0),) + c_y.coeffs[:-1])
+    lhs = u * c_y + (v * d) * shifted
+    assert cc.solve_invariants(lhs, c_y, d) == (inv.eu, inv.chi)
+
+
 class TestInvariantSolverLoop:
     @settings(max_examples=100)
     @given(
@@ -222,19 +244,7 @@ class TestInvariantSolverLoop:
         st.data(),
     )
     def test_forward_then_solve(self, n, data):
-        # random Y' class with positive-dimensional support
-        k0 = data.draw(st.integers(min_value=1, max_value=n - 1))
-        coeffs = [F(0)] * (n + 1)
-        coeffs[k0] = data.draw(rationals.filter(lambda q: q != 0))
-        for k in range(k0 + 1, n + 1):
-            coeffs[k] = data.draw(rationals)
-        c_y = GradedClass(n, tuple(coeffs))
-        d = data.draw(rationals.filter(lambda q: q != 0))
-        inv = data.draw(admissible_invariants())
-        u, v = inv.eu - inv.chi, inv.eu - 1
-        shifted = GradedClass(n, (F(0),) + c_y.coeffs[:-1])
-        lhs = u * c_y + (v * d) * shifted
-        assert cc.solve_invariants(lhs, c_y, d) == (inv.eu, inv.chi)
+        _forward_then_solve(n, data)
 
 
 class TestSmoothDegeneration:
@@ -254,3 +264,55 @@ class TestSmoothDegeneration:
         c_fulton = cc.fulton_class(n, d)
         assert cc.mather_from_polar(smooth) == c_fulton
         assert cc.segre_from_polar(smooth, BundleData.line(n, d)).is_zero()
+
+
+class TestIdentitiesAtLargeN:
+    """The paper identities on P^7 .. P^60, under the bounded profile."""
+
+    @large_n
+    @given(polar_specs(dims=large_dims))
+    def test_mather_cap_equals_double_sum(self, spec):
+        assert cc.mather_from_polar(spec) == cc.mather_double_sum(spec)
+
+    @large_n
+    @given(
+        polar_specs(hypersurface_only=True, degree_consistent=True, dims=large_dims),
+        admissible_invariants(),
+    )
+    def test_three_csm_routes_agree(self, spec, inv):
+        n, d = spec.n, spec.d
+        c_mather = cc.mather_from_polar(spec)
+        c_sm = cc.csm_from_interpolation(cc.fulton_class(n, d), c_mather, d, inv)
+        assert c_sm == cc.csm_from_polar(spec, inv)
+        s_yx = cc.segre_from_polar(spec, BundleData.line(n, d))
+        assert c_sm == cc.csm_from_segre(cc.segre_yx_to_ym(s_yx, d, inv), n, d)
+
+    @large_n
+    @given(graded_classes(dims=large_dims), rationals, admissible_invariants())
+    def test_segre_round_trip(self, cls, d, inv):
+        assert cc.segre_yx_to_ym(cc.segre_ym_to_yx(cls, d, inv), d, inv) == cls
+        assert cc.segre_ym_to_yx(cc.segre_yx_to_ym(cls, d, inv), d, inv) == cls
+
+    @large_n
+    @given(polar_specs(hypersurface_only=True, degree_consistent=True, dims=large_dims))
+    def test_interpolation_endpoints(self, spec):
+        c_fulton = cc.fulton_class(spec.n, spec.d)
+        c_mather = cc.mather_from_polar(spec)
+        assert cc.interpolated_class(c_fulton, c_mather, spec.d, 0) == c_mather
+        assert cc.interpolated_class(c_fulton, c_mather, spec.d, 1) == c_fulton
+
+    @large_n
+    @given(large_dims, st.data())
+    def test_planted_invariants_recovered(self, n, data):
+        _forward_then_solve(n, data)
+
+    @pytest.mark.parametrize("n", [7, 16, 33, 64, 120, 240])
+    @pytest.mark.parametrize("d", [F(1), F(2), F(5), F(-3, 2)])
+    def test_euler_characteristic(self, n, d):
+        # the oracle takes geometric degrees d >= 1; its closed form is a
+        # polynomial identity in d, so a rational d is checked against it
+        if d.denominator == 1 and d >= 1:
+            expected = euler_smooth_hypersurface(n, int(d))
+        else:
+            expected = ((1 - d) ** (n + 1) - 1) / d + n + 1
+        assert cc.fulton_class(n, d).degree_zero_part() == expected

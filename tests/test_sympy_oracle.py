@@ -105,3 +105,14 @@ def test_line_bundle_power_matches_pow_and_series(lam):
             ours = bundle.chern(n, e)
             assert ours == bundle.chern(n) ** e == bundle.chern(n).inverse() ** -e
             assert ours.coeffs == coeffs(expected, n)
+
+
+@pytest.mark.parametrize("a,b", [(F(1), F(-5, 3)), (F(-2, 7), F(7, 2)), (F(1, 9), F(0))])
+def test_linear_factor_kernel_matches_series(a, b):
+    # B times (a + bH), and B divided by (1 + bH)
+    product = rs_mul(poly(B), poly([a, b]), H, PREC)
+    quotient = rs_mul(poly(B), rs_series_inversion(1 + q(b) * H, H, PREC), H, PREC)
+    for n in range(TOP + 1):
+        cls = GradedClass(n, tuple(B[: n + 1]))
+        assert cls.mul_linear(a, b).coeffs == coeffs(product, n)
+        assert cls.div_linear(b).coeffs == coeffs(quotient, n)

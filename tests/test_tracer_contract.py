@@ -1,7 +1,9 @@
 """What the benchmark's outside-in tracer (``bench/tracer.py``) needs of
-the engine: every method it wraps is bound in its own class body, and
+the engine: every method it wraps is bound in its own class body,
 ``GradedClass.twist`` reaches no other traced kernel, since the tracer
-counts twist's products from its arguments alone."""
+counts twist's products from its arguments alone, and the linear-factor
+kernel (``mul_linear``, ``div_linear``) reaches none either, so that its
+work stays out of the traced kernels' metrics."""
 
 import importlib.util
 from fractions import Fraction as F
@@ -47,3 +49,17 @@ def test_twist_calls_no_series_kernel(monkeypatch):
     monkeypatch.setattr(LineBundleOnPn, "chern", forbidden)
     got = GradedClass.from_coeffs(3, [0, -4, -7, -10]).twist(LineBundleOnPn(F(4)), 3)
     assert got == GradedClass.from_coeffs(3, [0, -4, 9, -18])
+
+
+def test_linear_factor_kernel_calls_no_traced_kernel(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the linear-factor kernel must not call a traced kernel")
+
+    for attr in ("cap", "__mul__", "__rmul__"):
+        monkeypatch.setattr(HSeries, attr, forbidden)
+    monkeypatch.setattr(LineBundleOnPn, "chern", forbidden)
+    monkeypatch.setattr(GradedClass, "twist", forbidden)
+    cls = GradedClass.from_coeffs(3, [0, -4, -7, F(-10, 3)])
+    product = GradedClass.from_coeffs(3, [0, -2, F(-39, 2), F(-89, 3)])
+    assert cls.mul_linear(F(1, 2), F(4)) == product
+    assert cls.div_linear(F(4)) == GradedClass.from_coeffs(3, [0, -4, 9, F(-118, 3)])
