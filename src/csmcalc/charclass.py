@@ -129,16 +129,12 @@ class BundleData:
     def twist_by(self, bundle: LineBundleOnPn) -> "BundleData":
         """Tensor by a line bundle, via the splitting-principle formula
 
-        c(E tensor L) = sum_{i<=e} c_i(E) H^i c(L)^{e-i},  e = rank E.
+        c(E tensor L) = sum_{i<=e} c_i(E) H^i c(L)^{e-i},  e = rank E,
+        i.e. the twist of c_0(E), ..., c_e(E) relative to dimension n - e.
         """
-        n = self.total_chern.ambient_dim
-        e = self.rank
-        out = [Fraction(0)] * (n + 1)
-        for i, c in enumerate(self.total_chern.coeffs[: e + 1]):
-            if c:
-                for j, s in enumerate(bundle.chern(n - i, e - i).coeffs):
-                    out[i + j] += c * s
-        return BundleData(e, HSeries(n, tuple(out)))
+        n, e = self.total_chern.ambient_dim, self.rank
+        low = GradedClass.from_coeffs(n, self.total_chern.coeffs[: e + 1])
+        return BundleData(e, HSeries(n, low.twist(bundle, n - e).coeffs))
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "total_chern": self.total_chern.to_json()}
@@ -199,11 +195,10 @@ class HypersurfaceSpec:
                     f"polar class {k} lives on P^{cls.ambient_dim}, spec declares P^{self.n}"
                 )
             expected_codim = self.n - (self.r - k)
-            for c, a in enumerate(cls.coeffs):
-                if a and c != expected_codim:
-                    raise ValidationError(
-                        f"polar class {k} must be supported in dimension {self.r - k}"
-                    )
+            if any(cls.coeffs[:expected_codim]) or any(cls.coeffs[expected_codim + 1:]):
+                raise ValidationError(
+                    f"polar class {k} must be supported in dimension {self.r - k}"
+                )
             dense[k] = cls
         object.__setattr__(self, "polar", tuple(dense))
 
@@ -259,14 +254,14 @@ class HypersurfaceSpec:
 def fulton_class(n: int, d) -> GradedClass:
     """Fulton class of a degree-d hypersurface of P^n.
 
-    c_F = c(TP^n) cap s(X, P^n) with s(X, P^n) = [X]/(1+X) from the
-    linear-factor kernel; for smooth X this is the total Chern class of
-    X, and its degree-zero part is the topological Euler characteristic.
+    c_F = c(TP^n) cap [X]/(1+X), capped with [X] = d*H first and divided
+    once by (1 + d*H) in the linear-factor kernel; for smooth X this is the
+    total Chern class of X, and its degree-zero part is its Euler characteristic.
     """
     if n < 1:
         raise ValidationError("fulton_class needs n >= 1")
     d = as_rational(d)
-    return tangent_chern(n).cap(_hypersurface_segre_part(n, d))
+    return tangent_chern(n).cap(GradedClass.single(n, 1, d)).div_linear(d)
 
 
 def total_polar_class(spec: HypersurfaceSpec) -> GradedClass:
@@ -419,6 +414,8 @@ def segre_from_polar(
     the factor collapses to 1 and the formula reduces to the Pluecker
     form [X] + dual([P]) twisted by O(d).
     """
+    if not isinstance(normal, BundleData):
+        raise ValidationError(f"normal must be a BundleData, got {type(normal).__name__}")
     if normal.rank != spec.n - spec.r:
         raise ValidationError(
             f"normal bundle rank {normal.rank} != codimension {spec.n - spec.r}"

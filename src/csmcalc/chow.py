@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .errors import (
@@ -32,7 +33,8 @@ from .errors import (
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+_ZERO = Fraction(0)  # shared: most wire coefficients are "0"
 
 
 def _is_int(value) -> bool:
@@ -57,17 +59,20 @@ def as_rational(value) -> Fraction:
 
 def parse_rational(value) -> Fraction:
     """Parse the wire form of a rational: the string "p" or "p/q" (or an int)."""
-    if _is_int(value):
-        return Fraction(value)
     if not isinstance(value, str):
+        if _is_int(value):
+            return Fraction(value)
         raise InputParseError(
             f"rational must be a string 'p' or 'p/q', got {type(value).__name__}"
         )
-    text = value.strip()
-    if not _RATIONAL_RE.fullmatch(text):
+    if value == "0":
+        return _ZERO
+    match = _RATIONAL_RE.fullmatch(value.strip())
+    if not match:
         raise InputParseError(f"bad rational literal {value!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ValueError as exc:  # past the interpreter's int-string digit limit
         raise InputParseError(f"rational literal too long: {exc}") from exc
 
@@ -200,7 +205,9 @@ class _CoeffVector:
     def _validate(self):
         n = self.ambient_dim
         _check_ambient_dim(n)
-        coeffs = tuple(as_rational(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        if not set(map(type, coeffs)) <= {Fraction}:  # one C-level pass
+            coeffs = tuple(map(as_rational, coeffs))
         if len(coeffs) != n + 1:
             raise ValidationError(
                 f"{self._noun} on P^{n} needs {n + 1} coefficients, got {len(coeffs)}"
@@ -212,12 +219,8 @@ class _CoeffVector:
         """Build from coefficients by index, padding with zeros and
         discarding indices above n."""
         _check_ambient_dim(ambient_dim)
-        coeffs = [Fraction(0)] * (ambient_dim + 1)
-        for k, v in enumerate(values):
-            if k > ambient_dim:
-                break
-            coeffs[k] = as_rational(v)
-        return cls(ambient_dim, tuple(coeffs))
+        head = tuple(islice(values, ambient_dim + 1))  # coerced by the constructor
+        return cls(ambient_dim, head + (_ZERO,) * (ambient_dim + 1 - len(head)))
 
     def _check_dim(self, other, kind=None):
         kind = kind or type(self)
@@ -263,7 +266,7 @@ class _CoeffVector:
             raise InputParseError(
                 f"{cls._wire_key} must list exactly {n + 1} entries for ambient_dim {n}"
             )
-        return cls(n, tuple(parse_rational(v) for v in values))
+        return cls(n, tuple(map(parse_rational, values)))
 
     def __str__(self):
         parts = [(c, self._term(k, abs(c))) for k, c in enumerate(self.coeffs) if c]

@@ -445,6 +445,46 @@ class TestBundleData:
         b = BundleData(2, S(3, 1, F(10, 3), 0, 0))
         assert BundleData.from_json(b.to_json()) == b
 
+    @pytest.mark.parametrize("bundle", [2, F(2), None, S(3, 1, 2, 0, 0)],
+                             ids=["int", "Fraction", "None", "HSeries"])
+    def test_twist_by_needs_a_line_bundle(self, bundle):
+        with pytest.raises(ValidationError):
+            BundleData.line(3, 1).twist_by(bundle)
+
+
+def _reference_twist_by(bundle_data, bundle):
+    """twist_by as the Fraction double loop: c_i(E) H^i times c(L)^(e-i)."""
+    n = bundle_data.total_chern.ambient_dim
+    e = bundle_data.rank
+    out = [F(0)] * (n + 1)
+    for i, c in enumerate(bundle_data.total_chern.coeffs[: e + 1]):
+        if c:
+            for j, s in enumerate(bundle.chern(n - i, e - i).coeffs):
+                out[i + j] += c * s
+    return BundleData(e, HSeries(n, tuple(out)))
+
+
+class TestTwistByKernel:
+    """twist_by runs on the twist kernel; it must give the Fraction double
+    loop's answer exactly."""
+
+    DEGREES = [F(0), F(1), F(-1), F(-5, 3), F(7, 2)]
+
+    def test_matches_fraction_loop(self):
+        rng = random.Random("twist_by")
+        for n in range(31):
+            for rank in range(n + 3):
+                chern = [F(1)] + [
+                    F(rng.choice([0, rng.randint(-40, 40)]), rng.choice([1, 2, 3, 5, 6, 9, 35]))
+                    for _ in range(n)
+                ]
+                data = BundleData(rank, HSeries(n, tuple(chern)))
+                for degree in self.DEGREES:
+                    bundle = LineBundleOnPn(degree)
+                    got = data.twist_by(bundle)
+                    assert got == _reference_twist_by(data, bundle)
+                    assert all(type(c) is F for c in got.total_chern.coeffs)
+
 
 class TestSegreFromPolar:
     def test_tangent_developable(self):
@@ -477,6 +517,12 @@ class TestSegreFromPolar:
     def test_explicit_d_overrides_spec(self):
         same = cc.segre_from_polar(TD, BundleData.line(3, 4), F(4))
         assert same == cc.segre_from_polar(TD, BundleData.line(3, 4))
+
+    @pytest.mark.parametrize("normal", [None, S(3, 1, 4, 0, 0), LineBundleOnPn(F(4)), 4],
+                             ids=["None", "HSeries", "LineBundleOnPn", "int"])
+    def test_normal_must_be_bundle_data(self, normal):
+        with pytest.raises(ValidationError):
+            cc.segre_from_polar(TD, normal)
 
 
 class TestSolverLhs:
@@ -549,6 +595,11 @@ class TestLinearFactorRoutes:
     exactly the answer of the dense-series caps it replaces."""
 
     INVARIANTS = [InvariantData(F(-3, 2), F(5, 3)), InvariantData(F(7, 3), F(-2, 5))]
+
+    @pytest.mark.parametrize("d", [F(1), F(2), F(7), F(-3, 2), F(5, 3)])
+    def test_fulton_every_n(self, d):
+        for n in range(1, 61):
+            assert cc.fulton_class(n, d) == _reference_fulton(n, d)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=ALL_SPEC_IDS)
     def test_polar_routes(self, spec):

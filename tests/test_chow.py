@@ -1,6 +1,7 @@
 """Core arithmetic: series, graded classes, dual/twist, JSON wire forms."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -76,6 +77,110 @@ class TestRationalWireForm:
     def test_format_past_digit_limit(self, value, text):
         # past the interpreter's 4,300-digit limit on int-string conversion
         assert format_rational(value) == text
+
+
+_REFERENCE_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+
+
+def _reference_parse(value):
+    """parse_rational as two parsers: a syntax regex, then Fraction(str)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return F(value)
+    if not isinstance(value, str):
+        raise InputParseError(f"rational must be a string 'p' or 'p/q', got {type(value).__name__}")
+    text = value.strip()
+    if not _REFERENCE_RE.fullmatch(text):
+        raise InputParseError(f"bad rational literal {value!r}")
+    try:
+        return F(text)
+    except ValueError as exc:
+        raise InputParseError(f"rational literal too long: {exc}") from exc
+
+
+def _parse_outcome(parse, value):
+    try:
+        got = parse(value)
+    except Exception as exc:  # the outcome is compared, not raised
+        return type(exc), str(exc)
+    assert type(got) is F
+    return got
+
+
+_OVERSIZE = "7" * 4301
+
+
+class TestParserMatchesTwoParserPath:
+    """parse_rational matches one regex and builds the Fraction from its
+    integer groups; it must agree with the regex-then-Fraction(str) path
+    on value, error type and error message."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            # signs, leading zeros, zeros
+            "0", "-0", "+0", "00", "0/7", "-0/3", "10/4", "-10/4", "+10/4", "007",
+            "-007/014", "+5", "-5", "123456789012345678901234567890/35",
+            # surrounding whitespace
+            " 3/4", "3/4 ", "\t-2\n", "\n0\n", " 0 ", "\t\t+7/9  ",
+            # non-ASCII digits
+            "\u0663", "\uff13", "-\u0663/7", "7/3\u0663", "1/\u0663",
+            # rejects
+            "1/0", "1/00", "1/07", "3/-4", "1_000", "0.5", "", " ", "1/2/3", "+-1",
+            "- 1", "1 /2", "1/ 2", "abc", "1e3", "/2", "2/", "0x10", "\u00bd",
+            # past the 4,300-digit limit
+            _OVERSIZE, "-" + _OVERSIZE, "1/" + _OVERSIZE, _OVERSIZE + "/" + _OVERSIZE,
+            "0" * 4301, "7" * 4300, "1/" + "7" * 4300,
+            # not strings
+            0, 5, -3, 10**50, True, False, 0.5, 1.0, None, F(1, 2), b"1", ["1"],
+        ],
+    )
+    def test_same_outcome(self, value):
+        assert _parse_outcome(parse_rational, value) == _parse_outcome(_reference_parse, value)
+
+    def test_zero_is_shared(self):
+        assert parse_rational("0") is parse_rational("0")
+
+
+class TestConstructorCoercion:
+    """A tuple of plain Fractions is taken as it is; anything else goes
+    entry by entry through as_rational."""
+
+    @pytest.mark.parametrize("cls", [HSeries, GradedClass])
+    @pytest.mark.parametrize("bad", [0.5, True, None], ids=["float", "bool", "None"])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_one_inexact_entry_rejected(self, cls, bad, at):
+        coeffs = [F(1), F(2, 3), F(-5)]
+        coeffs[at] = bad
+        with pytest.raises(ValidationError):
+            cls(2, tuple(coeffs))
+
+    @pytest.mark.parametrize("cls", [HSeries, GradedClass])
+    def test_ints_and_literals_coerced(self, cls):
+        got = cls(2, (1, "2/3", F(-5)))
+        assert got.coeffs == (F(1), F(2, 3), F(-5))
+        assert all(type(c) is F for c in got.coeffs)
+
+    @pytest.mark.parametrize("cls", [HSeries, GradedClass])
+    def test_fraction_subclass_accepted(self, cls):
+        class Sub(F):
+            pass
+
+        got = cls(1, (F(1), Sub(3, 4)))
+        assert got.coeffs == (F(1), F(3, 4))
+        assert type(got.coeffs[1]) is Sub
+
+    @pytest.mark.parametrize("cls", [HSeries, GradedClass])
+    def test_from_coeffs_pads_and_drops_unchecked(self, cls):
+        assert cls.from_coeffs(1, [F(1), 2, 0.5]).coeffs == (F(1), F(2))
+        assert cls.from_coeffs(3, iter(["1", F(1, 2)])).coeffs == (F(1), F(1, 2), F(0), F(0))
+        with pytest.raises(ValidationError):
+            cls.from_coeffs(2, [F(1), 0.5])
+
+    @pytest.mark.parametrize("cls", [HSeries, GradedClass])
+    def test_list_and_generator_become_tuples(self, cls):
+        assert cls(1, [F(1), F(2)]).coeffs == (F(1), F(2))
+        assert cls(1, (F(c) for c in (1, 2))).coeffs == (F(1), F(2))
+        assert cls(1, (c for c in (1, "2"))).coeffs == (F(1), F(2))
 
 
 class TestSeriesArithmetic:

@@ -1,9 +1,11 @@
 """What the benchmark's outside-in tracer (``bench/tracer.py``) needs of
 the engine: every method it wraps is bound in its own class body,
 ``GradedClass.twist`` reaches no other traced kernel, since the tracer
-counts twist's products from its arguments alone, and the linear-factor
-kernel (``mul_linear``, ``div_linear``) reaches none either, so that its
-work stays out of the traced kernels' metrics."""
+counts twist's products from its arguments alone, ``BundleData.twist_by``
+reaches the series only through ``twist``, every object built passes the
+counted ``__post_init__``, and the linear-factor kernel (``mul_linear``,
+``div_linear``) reaches no traced kernel either, so that its work stays
+out of the traced kernels' metrics."""
 
 import importlib.util
 from fractions import Fraction as F
@@ -49,6 +51,34 @@ def test_twist_calls_no_series_kernel(monkeypatch):
     monkeypatch.setattr(LineBundleOnPn, "chern", forbidden)
     got = GradedClass.from_coeffs(3, [0, -4, -7, -10]).twist(LineBundleOnPn(F(4)), 3)
     assert got == GradedClass.from_coeffs(3, [0, -4, 9, -18])
+
+
+def test_twist_by_calls_no_series_kernel(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("twist_by must reach the series only through twist")
+
+    for attr in ("cap", "__mul__", "__rmul__"):
+        monkeypatch.setattr(HSeries, attr, forbidden)
+    monkeypatch.setattr(LineBundleOnPn, "chern", forbidden)
+    normal = charclass.BundleData(2, HSeries(3, (F(1), F(3), F(5), F(0))))
+    got = normal.twist_by(LineBundleOnPn(F(2)))
+    # (1 + 2H)^2 + 3H(1 + 2H) + 5H^2
+    assert got.total_chern == HSeries(3, (F(1), F(7), F(15), F(0)))
+
+
+def test_every_object_is_counted():
+    tracer = _tracer()
+    tracer.install()
+    try:
+        GradedClass(2, (F(1), F(0), F(3)))  # plain Fractions: no per-entry coercion
+        HSeries(1, (1, "1/2"))
+        normal = charclass.BundleData.line(3, F(4)).twist_by(LineBundleOnPn(F(-4)))
+    finally:
+        tracer.uninstall()
+    # line builds one series; twist_by builds the low part, the twisted
+    # class and the result series
+    assert tracer.counters["chow.objects_built"] == 2 + 1 + 3
+    assert normal.total_chern == HSeries.one(3)
 
 
 def test_linear_factor_kernel_calls_no_traced_kernel(monkeypatch):
