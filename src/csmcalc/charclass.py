@@ -46,10 +46,9 @@ from .chow import (
     parse_rational,
     tangent_chern,
     _alternate,
+    _check_int,
     _check_keys,
-    _is_int,
     _numerators,
-    _parse_dim,
 )
 from .errors import (
     DegenerateInvariantsError,
@@ -110,8 +109,7 @@ class BundleData:
     total_chern: HSeries
 
     def __post_init__(self):
-        if not _is_int(self.rank) or self.rank < 0:
-            raise ValidationError("bundle rank must be a non-negative integer")
+        _check_int(self.rank, "bundle rank")
         if not isinstance(self.total_chern, HSeries):
             raise ValidationError("a total Chern class must be an HSeries")
         if self.total_chern.constant_term != 1:
@@ -142,7 +140,8 @@ class BundleData:
     @classmethod
     def from_json(cls, data) -> "BundleData":
         _check_keys(data, {"rank", "total_chern"}, what="bundle")
-        return cls(_parse_dim(data["rank"], "rank"), HSeries.from_json(data["total_chern"]))
+        rank = _check_int(data["rank"], "rank", error=InputParseError)
+        return cls(rank, HSeries.from_json(data["total_chern"]))
 
 
 @dataclass(frozen=True)
@@ -166,9 +165,8 @@ class HypersurfaceSpec:
     ambient_tangent: HSeries | None = None
 
     def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
-            raise ValidationError("ambient projective dimension n must be >= 1")
-        if not _is_int(self.r) or not 0 <= self.r < self.n:
+        _check_int(self.n, "ambient projective dimension n", low=1)
+        if _check_int(self.r, "dim X = r") >= self.n:
             raise ValidationError("need 0 <= r < n for a proper subvariety")
         object.__setattr__(self, "d", as_rational(self.d))
 
@@ -180,8 +178,7 @@ class HypersurfaceSpec:
             ) from None
         dense: list[GradedClass] = [GradedClass.zero(self.n)] * (self.r + 1)
         for k, cls in items.items():
-            if not _is_int(k) or k < 0:
-                raise ValidationError("polar indices must be non-negative integers")
+            _check_int(k, "polar index")
             if not isinstance(cls, GradedClass):
                 raise ValidationError(
                     f"polar class {k} must be a GradedClass, got {type(cls).__name__}"
@@ -236,8 +233,8 @@ class HypersurfaceSpec:
         _check_keys(
             data, {"n", "r", "d", "polar"}, optional={"ambient_tangent"}, what="spec"
         )
-        n = _parse_dim(data["n"], "n")
-        r = _parse_dim(data["r"], "r")
+        n = _check_int(data["n"], "n", error=InputParseError)
+        r = _check_int(data["r"], "r", error=InputParseError)
         if not isinstance(data["polar"], dict):
             raise InputParseError("polar must be an object keyed by polar index")
         polar = {}
@@ -258,8 +255,7 @@ def fulton_class(n: int, d) -> GradedClass:
     once by (1 + d*H) in the linear-factor kernel; for smooth X this is the
     total Chern class of X, and its degree-zero part is its Euler characteristic.
     """
-    if n < 1:
-        raise ValidationError("fulton_class needs n >= 1")
+    _check_int(n, "n", low=1)
     d = as_rational(d)
     return tangent_chern(n).cap(GradedClass.single(n, 1, d)).div_linear(d)
 
@@ -270,15 +266,16 @@ def total_polar_class(spec: HypersurfaceSpec) -> GradedClass:
         [P] = (-1)^(n-r) sum_k dual([P_k]) twisted by O(1),
 
     with dual/twist taken relative to P^n.  Both are linear and [P_k]
-    lives only in codimension n-r+k, so the polar classes are gathered
-    into one class, which is dualised and twisted once.
+    lives only in codimension n-r+k, where dual and the outer sign
+    multiply it by (-1)^(n-r) * (-1)^(n-r+k) = (-1)^k; so the polar
+    classes are gathered into one class as (-1)^k [P_k] and twisted once.
     """
     n, r = spec.n, spec.r
     coeffs = [Fraction(0)] * (n + 1)
     for k, cls in enumerate(spec.polar):
-        coeffs[n - r + k] = cls.coeffs[n - r + k]
-    total = GradedClass(n, tuple(coeffs)).dual(n).twist(LineBundleOnPn(Fraction(1)), n)
-    return -total if (n - r) % 2 else total
+        c = cls.coeffs[n - r + k]
+        coeffs[n - r + k] = -c if k % 2 else c
+    return GradedClass(n, tuple(coeffs)).twist(LineBundleOnPn(Fraction(1)), n)
 
 
 def mather_from_polar(spec: HypersurfaceSpec) -> GradedClass:
@@ -505,9 +502,7 @@ def exceptional_multiplicities(
 
     so that n/m = (chi - Eu)/(chi - 1) = 1/sigma.
     """
-    if not (_is_int(dim_x) and _is_int(dim_y)):
-        raise ValidationError("dim X and dim Y' must be integers")
-    if not dim_x > dim_y >= 0:
+    if _check_int(dim_x, "dim X") <= _check_int(dim_y, "dim Y'"):
         raise ValidationError("need dim X > dim Y' >= 0")
     sign = (-1) ** (dim_x - dim_y)
     chi = as_rational(chi)

@@ -42,6 +42,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_int(value, what, low=0, error=ValidationError) -> int:
+    """The one integer rule for arguments: value itself if it is an int, not
+    a bool, and at least low (any int when low is None); error otherwise."""
+    if not _is_int(value):
+        raise error(f"{what} must be an integer, got {type(value).__name__}")
+    if low is not None and value < low:
+        raise error(f"{what} must be >= {low}")
+    return value
+
+
 def as_rational(value) -> Fraction:
     """Coerce a programmatic value (Fraction, int, or literal string) exactly.
 
@@ -127,19 +137,6 @@ def _check_keys(data, required, optional=frozenset(), what="object"):
         raise InputParseError(f"missing key(s) in {what}: {', '.join(sorted(missing))}")
 
 
-def _parse_dim(value, what):
-    if not _is_int(value) or value < 0:
-        raise InputParseError(f"{what} must be a non-negative integer")
-    return value
-
-
-def _check_ambient_dim(n):
-    if not _is_int(n):
-        raise ValidationError(f"ambient_dim must be an integer, got {type(n).__name__}")
-    if n < 0:
-        raise ValidationError("ambient_dim must be non-negative")
-
-
 def _numerators(coeffs) -> tuple[list[int], int]:
     """The integer numerators of coeffs over their least common denominator,
     and that denominator."""
@@ -203,8 +200,7 @@ class _CoeffVector:
     _what: str
 
     def _validate(self):
-        n = self.ambient_dim
-        _check_ambient_dim(n)
+        n = _check_int(self.ambient_dim, "ambient_dim")
         coeffs = tuple(self.coeffs)
         if not set(map(type, coeffs)) <= {Fraction}:  # one C-level pass
             coeffs = tuple(map(as_rational, coeffs))
@@ -218,7 +214,7 @@ class _CoeffVector:
     def from_coeffs(cls, ambient_dim, values):
         """Build from coefficients by index, padding with zeros and
         discarding indices above n."""
-        _check_ambient_dim(ambient_dim)
+        _check_int(ambient_dim, "ambient_dim")
         head = tuple(islice(values, ambient_dim + 1))  # coerced by the constructor
         return cls(ambient_dim, head + (_ZERO,) * (ambient_dim + 1 - len(head)))
 
@@ -260,7 +256,7 @@ class _CoeffVector:
 
     def _from_json(cls, data):  # each subclass binds it as a classmethod
         _check_keys(data, {"ambient_dim", cls._wire_key}, what=cls._what)
-        n = _parse_dim(data["ambient_dim"], "ambient_dim")
+        n = _check_int(data["ambient_dim"], "ambient_dim", error=InputParseError)
         values = data[cls._wire_key]
         if not isinstance(values, list) or len(values) != n + 1:
             raise InputParseError(
@@ -332,8 +328,7 @@ class HSeries(_CoeffVector):
         return HSeries(n, tuple(out))
 
     def __pow__(self, exponent: int) -> "HSeries":
-        if not isinstance(exponent, int):
-            raise ValidationError("series exponent must be an integer")
+        _check_int(exponent, "series exponent", low=None)
         base = self
         if exponent < 0:
             base = self.inverse()
@@ -385,11 +380,7 @@ class GradedClass(_CoeffVector):
     @classmethod
     def single(cls, ambient_dim, codim, value) -> "GradedClass":
         """The class value * [P^{n-codim}]."""
-        if not _is_int(codim):
-            raise ValidationError(
-                f"codimension must be an integer, got {type(codim).__name__}"
-            )
-        if not 0 <= codim <= ambient_dim:
+        if _check_int(codim, "codimension") > _check_int(ambient_dim, "ambient_dim"):
             raise ValidationError(
                 f"codimension {codim} out of range on P^{ambient_dim}"
             )
@@ -400,13 +391,7 @@ class GradedClass(_CoeffVector):
 
     def _relative_dim(self, relative_dim) -> int:
         """dim M for dual and twist: an integer, n when not given."""
-        if relative_dim is None:
-            return self.ambient_dim
-        if not _is_int(relative_dim):
-            raise ValidationError(
-                f"relative_dim must be an integer, got {type(relative_dim).__name__}"
-            )
-        return relative_dim
+        return self.ambient_dim if relative_dim is None else _check_int(relative_dim, "dim M", None)
 
     def dual(self, relative_dim: int | None = None) -> "GradedClass":
         """Sign-alternate each piece by its codimension in an ambient M.
@@ -505,9 +490,8 @@ class LineBundleOnPn:
         integer power: with degree = p/q, a_i = C(power, i) * p^i / q^i,
         the binomial from its exact integer recurrence (negative powers
         included) and each a_i reduced once."""
-        _check_ambient_dim(ambient_dim)
-        if not _is_int(power):
-            raise ValidationError(f"power must be an integer, got {type(power).__name__}")
+        _check_int(ambient_dim, "ambient_dim")
+        _check_int(power, "power", low=None)
         p, q = self.degree.numerator, self.degree.denominator
         return HSeries(ambient_dim, tuple(
             Fraction(b * p**i, q**i)
@@ -517,6 +501,4 @@ class LineBundleOnPn:
 
 def tangent_chern(n: int) -> HSeries:
     """c(TP^n) = (1+H)^{n+1} mod H^{n+1}, from the Euler sequence."""
-    if not _is_int(n) or n < 0:
-        raise ValidationError("projective dimension must be non-negative")
-    return LineBundleOnPn(1).chern(n, n + 1)
+    return LineBundleOnPn(1).chern(_check_int(n, "projective dimension"), n + 1)

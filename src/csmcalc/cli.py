@@ -64,8 +64,6 @@ def _require_pn_hypersurface(spec: HypersurfaceSpec, what: str) -> None:
 
 
 def _render(value) -> str:
-    if isinstance(value, GradedClass):
-        return str(value)
     if isinstance(value, InvariantData):
         return (
             f"Eu = {format_rational(value.eu)}  chi = {format_rational(value.chi)}  "
@@ -229,12 +227,6 @@ def _cmd_run_scenario(args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_format(parser) -> None:
-    parser.add_argument(
-        "--format", choices=("table", "json"), default="table", help="output mode"
-    )
-
-
 def _add_invariant_flags(parser) -> None:
     parser.add_argument("--chi", help="Milnor-fiber Euler characteristic (rational)")
     parser.add_argument("--eu", help="local Euler obstruction (rational)")
@@ -254,12 +246,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fulton", help="Fulton class of a degree-d hypersurface of P^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", required=True)
-    _add_format(p)
     p.set_defaults(handler=_cmd_fulton)
 
     p = sub.add_parser("polar-total", help="signed O(1)-twisted total polar class [P]")
     p.add_argument("--spec", required=True, help=spec_help)
-    _add_format(p)
     p.set_defaults(handler=_cmd_polar_total)
 
     p = sub.add_parser("mather", help="Chern-Mather class from polar classes")
@@ -270,25 +260,21 @@ def _build_parser() -> argparse.ArgumentParser:
         default="cap",
         help="cap against c(TP^n), or the explicit double sum",
     )
-    _add_format(p)
     p.set_defaults(handler=_cmd_mather)
 
     p = sub.add_parser("interpolate", help="the class c_(alpha) between Mather and Fulton")
     p.add_argument("--spec", required=True, help=spec_help)
     p.add_argument("--alpha", required=True, help="interpolation weight (rational)")
-    _add_format(p)
     p.set_defaults(handler=_cmd_interpolate)
 
     p = sub.add_parser("csm", help="CSM class via interpolation at alpha = rho")
     p.add_argument("--spec", required=True, help=spec_help)
     _add_invariant_flags(p)
-    _add_format(p)
     p.set_defaults(handler=_cmd_csm)
 
     p = sub.add_parser("csm-polar", help="CSM class straight from polar data")
     p.add_argument("--spec", required=True, help=spec_help)
     _add_invariant_flags(p)
-    _add_format(p)
     p.set_defaults(handler=_cmd_csm_polar)
 
     p = sub.add_parser(
@@ -296,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--spec", required=True, help=spec_help)
     p.add_argument("--normal", help="normal bundle JSON (defaults to O(d) when r = n-1)")
-    _add_format(p)
     p.set_defaults(handler=_cmd_segre_polar)
 
     p = sub.add_parser("segre-convert", help="convert between s(Y,X) and s(Y,M)")
@@ -306,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segre", required=True, help="graded class JSON to convert")
     p.add_argument("--d", required=True, help="divisor action (rational)")
     _add_invariant_flags(p)
-    _add_format(p)
     p.set_defaults(handler=_cmd_segre_convert)
 
     p = sub.add_parser(
@@ -315,7 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lhs", required=True, help="(1+X)(c_Ma - c_F) as graded class JSON")
     p.add_argument("--cy", required=True, help="pushforward of c(TY') cap [Y'] as JSON")
     p.add_argument("--d", required=True, help="divisor action (rational)")
-    _add_format(p)
     p.set_defaults(handler=_cmd_solve_invariants)
 
     p = sub.add_parser("multiplicities", help="singularity cycle multiplicities (m, n)")
@@ -323,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eu", required=True)
     p.add_argument("--dim-x", type=int, required=True)
     p.add_argument("--dim-y", type=int, required=True)
-    _add_format(p)
     p.set_defaults(handler=_cmd_multiplicities)
 
     p = sub.add_parser("run-scenario", help="run a named worked example")
@@ -331,9 +313,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--param", action="append", metavar="KEY=VALUE", help="scenario parameter"
     )
-    _add_format(p)
     p.set_defaults(handler=_cmd_run_scenario)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format", choices=("table", "json"), default="table", help="output mode"
+        )
     return parser
 
 

@@ -22,15 +22,13 @@ from importlib.resources import files
 
 from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
-from .chow import GradedClass, _encode, format_rational
+from .chow import GradedClass, _check_int, _encode, format_rational
 from .errors import ValidationError
 
 PROVENANCES = ("published", "derived", "trivial")
 
 
 def _render(value) -> str:
-    if isinstance(value, GradedClass):
-        return str(value)
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, dict):
@@ -186,8 +184,7 @@ def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
     codimension one of X.  Polar inputs: [P_0] = d[P^2],
     [P_1] = (d^2-d-2)[P^1], [P_2] = 0.
     """
-    if not isinstance(d, int) or d < 3:
-        raise ValidationError("the nodal-curve cone needs an integer degree d >= 3")
+    _check_int(d, "the nodal-curve cone's degree d", low=3)
     n, r = 3, 2
     spec = HypersurfaceSpec(
         n,
@@ -281,8 +278,8 @@ def euler_smooth_hypersurface(n: int, d: int) -> Fraction:
     """Closed-form Euler characteristic of a smooth degree-d hypersurface
     of P^n:  chi = ((1-d)^{n+1} - 1)/d + n + 1.  Independent of the class
     engine; used as an oracle."""
-    if n < 1 or d < 1:
-        raise ValidationError("need n >= 1 and d >= 1")
+    _check_int(n, "n", low=1)
+    _check_int(d, "d", low=1)
     return Fraction((1 - d) ** (n + 1) - 1, d) + n + 1
 
 
@@ -292,8 +289,7 @@ def smooth_hypersurface(n: int = 3, d: int = 4) -> ScenarioReport:
     With zero Segre input the Fulton, Mather and CSM routes must return
     the same class, whose degree-zero part is the Euler characteristic.
     """
-    if not isinstance(n, int) or not isinstance(d, int):
-        raise ValidationError("n and d must be integers")
+    chi = euler_smooth_hypersurface(n, d)  # rejects all but integers n, d >= 1
     report = ScenarioReport("smooth-hypersurface", {"n": n, "d": d}, [])
     c_fulton = charclass.fulton_class(n, d)
     zero = GradedClass.zero(n)
@@ -312,7 +308,7 @@ def smooth_hypersurface(n: int = 3, d: int = 4) -> ScenarioReport:
     report.check(
         "euler_degree_zero",
         c_fulton.degree_zero_part(),
-        euler_smooth_hypersurface(n, d),
+        chi,
         "derived",
     )
     return report

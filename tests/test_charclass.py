@@ -77,6 +77,11 @@ class TestFultonClass:
         with pytest.raises(ValidationError):
             cc.fulton_class(0, 1)
 
+    @pytest.mark.parametrize("n", ["3", 2.0, True], ids=["str", "float", "bool"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            cc.fulton_class(n, 2)
+
 
 class TestHypersurfaceSpecValidation:
     def test_missing_polar_defaults_to_zero(self):

@@ -237,6 +237,11 @@ class TestSeriesArithmetic:
         with pytest.raises(NonUnitError):
             S(2, 0, 1) ** -1
 
+    @pytest.mark.parametrize("exponent", [True, 2.0, "2"])
+    def test_pow_needs_integer_exponent(self, exponent):
+        with pytest.raises(ValidationError):
+            tangent_chern(3) ** exponent
+
     def test_length_validation(self):
         with pytest.raises(ValidationError):
             HSeries(2, (F(1),))
@@ -518,6 +523,8 @@ class TestGradedClassBasics:
         assert GradedClass.zero(2).is_zero()
         with pytest.raises(ValidationError):
             GradedClass.single(2, 3, 1)
+        with pytest.raises(ValidationError):
+            GradedClass.single(3, -1, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -559,7 +566,7 @@ class TestGradedClassBasics:
          "GradedClass.zero", "GradedClass.single", "tangent_chern", "LineBundleOnPn.chern",
          "GradedClass.single-codim"],
 )
-@pytest.mark.parametrize("dim", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("dim", [1.0, True, "3"], ids=["float", "bool", "str"])
 def test_non_integer_ambient_dim_rejected(build, dim):
     with pytest.raises(ValidationError):
         build(dim)

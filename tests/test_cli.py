@@ -264,6 +264,18 @@ class TestExitCodes:
         assert code == 3
         assert "supported in dimension" in err
 
+    def test_non_integer_wire_dimension_is_parse_error(self, capsys):
+        bad = json.loads(SPEC_JSON)
+        bad["n"] = 2.5
+        code, _, err = invoke(capsys, "polar-total", "--spec", json.dumps(bad))
+        assert code == 2
+        assert "n must be an integer" in err
+
+    def test_negative_fulton_n_is_validation_error(self, capsys):
+        code, _, err = invoke(capsys, "fulton", "--n=-1", "--d", "4")
+        assert code == 3
+        assert "n must be >= 1" in err
+
     def test_non_decimal_polar_key_is_parse_error(self, capsys):
         # "²".isdigit() is true, but int("²") raises
         bad = json.loads(SPEC_JSON)

@@ -77,6 +77,18 @@ class TestSmoothHypersurface:
     def test_euler_oracle_spot_values(self, n, d, chi):
         assert euler_smooth_hypersurface(n, d) == chi
 
+    @pytest.mark.parametrize(
+        "n,d", [(2.5, 2), (True, 2), (2, 2.5), (2, True), ("3", 2), (0, 2), (2, 0)]
+    )
+    def test_euler_oracle_needs_integers_at_least_one(self, n, d):
+        with pytest.raises(ValidationError):
+            euler_smooth_hypersurface(n, d)
+
+    @pytest.mark.parametrize("params", [{"n": True}, {"d": True}, {"n": 3.0}, {"d": F(4)}])
+    def test_non_integer_parameters_rejected(self, params):
+        with pytest.raises(ValidationError):
+            smooth_hypersurface(**params)
+
 
 class TestReportMachinery:
     def test_every_entry_is_tagged(self):
