@@ -33,7 +33,6 @@ equations here; they enter as user inputs pushed forward to P^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -45,10 +44,12 @@ from .chow import (
     format_rational,
     parse_rational,
     tangent_chern,
+    _Value,
     _alternate,
     _check_int,
     _check_keys,
     _numerators,
+    _set,
 )
 from .errors import (
     DegenerateInvariantsError,
@@ -60,8 +61,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class InvariantData:
+class InvariantData(_Value):
     """The invariant pair (chi, Eu) and the derived interpolation weights.
 
     rho = (1 - Eu)/(chi - Eu) and sigma = 1 - rho = (chi - 1)/(chi - Eu).
@@ -70,22 +70,16 @@ class InvariantData:
     the interpolation statement).
     """
 
-    chi: Fraction
-    eu: Fraction
-    rho: Fraction = field(init=False)
-    sigma: Fraction = field(init=False)
+    _fields = ("chi", "eu", "rho", "sigma")
 
-    def __post_init__(self):
-        chi = as_rational(self.chi)
-        eu = as_rational(self.eu)
+    def __init__(self, chi, eu):
+        chi = as_rational(chi)
+        eu = as_rational(eu)
         if chi == 1:
             raise DegenerateInvariantsError("chi = 1 makes rho/sigma undefined")
         if chi == eu:
             raise DegenerateInvariantsError("chi = Eu makes rho/sigma undefined")
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "eu", eu)
-        object.__setattr__(self, "rho", (1 - eu) / (chi - eu))
-        object.__setattr__(self, "sigma", (chi - 1) / (chi - eu))
+        self._init(chi, eu, (1 - eu) / (chi - eu), (chi - 1) / (chi - eu))
 
     def to_json(self) -> dict:
         return {
@@ -101,19 +95,19 @@ class InvariantData:
         return cls(parse_rational(data["chi"]), parse_rational(data["eu"]))
 
 
-@dataclass(frozen=True)
-class BundleData:
+class BundleData(_Value):
     """A vector bundle presented by its rank and total Chern class in H."""
 
-    rank: int
-    total_chern: HSeries
+    _fields = ("rank", "total_chern")
 
-    def __post_init__(self):
-        _check_int(self.rank, "bundle rank")
-        if not isinstance(self.total_chern, HSeries):
+    def __init__(self, rank, total_chern):
+        _check_int(rank, "bundle rank")
+        if not isinstance(total_chern, HSeries):
             raise ValidationError("a total Chern class must be an HSeries")
-        if self.total_chern.constant_term != 1:
+        if total_chern.constant_term != 1:
             raise ValidationError("a total Chern class has constant term 1")
+        _set(self, "rank", rank)  # built once or more per route: no _init loop
+        _set(self, "total_chern", total_chern)
 
     @classmethod
     def line(cls, ambient_dim: int, degree) -> "BundleData":
@@ -144,8 +138,7 @@ class BundleData:
         return cls(rank, HSeries.from_json(data["total_chern"]))
 
 
-@dataclass(frozen=True)
-class HypersurfaceSpec:
+class HypersurfaceSpec(_Value):
     """Polar-class data for a dimension-r subvariety X of P^n.
 
     d encodes the action of the divisor class X = c_1(O_M(X)) as d*H on
@@ -158,56 +151,46 @@ class HypersurfaceSpec:
     defaults to c(TP^n).
     """
 
-    n: int
-    r: int
-    d: Fraction
-    polar: tuple[GradedClass, ...]
-    ambient_tangent: HSeries | None = None
+    _fields = ("n", "r", "d", "polar", "ambient_tangent")
 
-    def __post_init__(self):
-        _check_int(self.n, "ambient projective dimension n", low=1)
-        if _check_int(self.r, "dim X = r") >= self.n:
+    def __init__(self, n, r, d, polar, ambient_tangent=None):
+        _check_int(n, "ambient projective dimension n", low=1)
+        if _check_int(r, "dim X = r") >= n:
             raise ValidationError("need 0 <= r < n for a proper subvariety")
-        object.__setattr__(self, "d", as_rational(self.d))
-
+        d = as_rational(d)
         try:
-            items = self.polar if isinstance(self.polar, dict) else dict(enumerate(self.polar))
+            items = polar if isinstance(polar, dict) else dict(enumerate(polar))
         except TypeError:
             raise ValidationError(
-                f"polar must be a dict or a sequence, got {type(self.polar).__name__}"
+                f"polar must be a dict or a sequence, got {type(polar).__name__}"
             ) from None
-        dense: list[GradedClass] = [GradedClass.zero(self.n)] * (self.r + 1)
+        dense: list[GradedClass] = [GradedClass.zero(n)] * (r + 1)
         for k, cls in items.items():
             _check_int(k, "polar index")
             if not isinstance(cls, GradedClass):
                 raise ValidationError(
                     f"polar class {k} must be a GradedClass, got {type(cls).__name__}"
                 )
-            if k > self.r:
-                raise ValidationError(
-                    f"polar class index {k} exceeds dim X = {self.r}"
-                )
-            if cls.ambient_dim != self.n:
+            if k > r:
+                raise ValidationError(f"polar class index {k} exceeds dim X = {r}")
+            if cls.ambient_dim != n:
                 raise DimensionMismatchError(
-                    f"polar class {k} lives on P^{cls.ambient_dim}, spec declares P^{self.n}"
+                    f"polar class {k} lives on P^{cls.ambient_dim}, spec declares P^{n}"
                 )
-            expected_codim = self.n - (self.r - k)
+            expected_codim = n - (r - k)
             if any(cls.coeffs[:expected_codim]) or any(cls.coeffs[expected_codim + 1:]):
-                raise ValidationError(
-                    f"polar class {k} must be supported in dimension {self.r - k}"
-                )
+                raise ValidationError(f"polar class {k} must be supported in dimension {r - k}")
             dense[k] = cls
-        object.__setattr__(self, "polar", tuple(dense))
-
-        if self.ambient_tangent is not None:
-            if not isinstance(self.ambient_tangent, HSeries):
+        if ambient_tangent is not None:
+            if not isinstance(ambient_tangent, HSeries):
                 raise ValidationError("ambient_tangent must be an HSeries")
-            if self.ambient_tangent.ambient_dim != self.n:
+            if ambient_tangent.ambient_dim != n:
                 raise DimensionMismatchError(
                     "ambient_tangent series has the wrong ambient dimension"
                 )
-            if self.ambient_tangent.constant_term != 1:
+            if ambient_tangent.constant_term != 1:
                 raise ValidationError("ambient_tangent must have constant term 1")
+        self._init(n, r, d, tuple(dense), ambient_tangent)
 
     @property
     def fundamental_class(self) -> GradedClass:

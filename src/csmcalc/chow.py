@@ -19,7 +19,6 @@ M = P^n itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -151,18 +150,21 @@ def _convolve(a, b) -> tuple[Fraction, ...]:
     Each operand is put over one common denominator and its integer
     numerators are convolved, so no gcd is taken inside the double loop;
     ``Fraction`` reduces each entry once at the end, which makes the
-    result equal to the product taken in ``Fraction`` arithmetic."""
+    result equal to the product taken in ``Fraction`` arithmetic.  The
+    zeros of both operands are skipped, so the loop visits only pairs of
+    nonzero entries, whichever operand is the sparse one."""
     n = len(a) - 1
     na, da = _numerators(a)
     nb, db = _numerators(b)
+    inner = [(j, y) for j, y in enumerate(nb) if y]
     out = [0] * (n + 1)
     for i, x in enumerate(na):
         if not x:
             continue
-        for j in range(n + 1 - i):
-            y = nb[j]
-            if y:
-                out[i + j] += x * y
+        for j, y in inner:
+            if i + j > n:
+                break
+            out[i + j] += x * y
     d = da * db
     return tuple(Fraction(c, d) for c in out)
 
@@ -182,12 +184,52 @@ def _alternate(coeffs, shift=0) -> tuple[Fraction, ...]:
     return tuple(a if (k + shift) % 2 == 0 else -a for k, a in enumerate(coeffs))
 
 
-class _CoeffVector:
+_set = object.__setattr__  # bypasses _Value's guard; for construction only
+
+
+class _Value:
+    """An immutable value over the attributes named in ``_fields``: equal
+    only to an object of the same class with equal fields, and hashed and
+    printed by those fields.  Assigning or deleting an attribute raises
+    ``AttributeError``; a subclass's ``__init__`` sets its fields with
+    ``_init``, in ``_fields`` order, or one by one with ``_set`` where
+    objects are built often."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> list:
+        return [getattr(self, f) for f in self._fields]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._values()))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _CoeffVector(_Value):
     """The n+1 exact coefficients on P^n that HSeries and GradedClass share.
 
     Holds validation, construction, the dimension check, the pairwise and
     scalar operations, the JSON codec and the printed form.  A subclass
-    is a frozen dataclass with fields ``ambient_dim`` and ``coeffs``; it
+    is an immutable value with fields ``ambient_dim`` and ``coeffs``,
+    which ``__init__`` checks through the subclass's ``__post_init__``; it
     sets ``_wire_key`` (the JSON key of the coefficient list), ``_noun``
     and ``_what`` (its name in messages) and ``_term`` (how one nonzero
     coefficient prints), and binds the operations it exposes to their
@@ -195,9 +237,15 @@ class _CoeffVector:
     per class, through the class ``__dict__``.
     """
 
+    _fields = ("ambient_dim", "coeffs")
     _wire_key: str
     _noun: str
     _what: str
+
+    def __init__(self, ambient_dim, coeffs):  # every kernel result: no _init loop
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def _validate(self):
         n = _check_int(self.ambient_dim, "ambient_dim")
@@ -208,7 +256,7 @@ class _CoeffVector:
             raise ValidationError(
                 f"{self._noun} on P^{n} needs {n + 1} coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, ambient_dim, values):
@@ -274,16 +322,12 @@ class _CoeffVector:
         return text
 
 
-@dataclass(frozen=True)
 class HSeries(_CoeffVector):
     """A truncated polynomial in the hyperplane class H, mod H^{n+1}.
 
     coeffs[k] multiplies H^k; exactly n+1 entries are kept, since any
     term of degree above n is zero on P^n.
     """
-
-    ambient_dim: int
-    coeffs: tuple[Fraction, ...]
 
     _wire_key = "coeffs_by_degree"
     _noun = _what = "series"
@@ -342,9 +386,10 @@ class HSeries(_CoeffVector):
         return result
 
     def cap(self, cls: "GradedClass") -> "GradedClass":
-        """Cap product with a graded class: convolution by codimension."""
+        """Cap product with a graded class: convolution by codimension,
+        with the class, often a single piece, as the outer operand."""
         self._check_dim(cls, GradedClass)
-        return GradedClass(self.ambient_dim, _convolve(self.coeffs, cls.coeffs))
+        return GradedClass(self.ambient_dim, _convolve(cls.coeffs, self.coeffs))
 
     @staticmethod
     def _term(k, mag):
@@ -354,12 +399,8 @@ class HSeries(_CoeffVector):
         return h if mag == 1 else format_rational(mag) + h
 
 
-@dataclass(frozen=True)
 class GradedClass(_CoeffVector):
     """A rational Chow class on P^n: coeffs[k] multiplies [P^{n-k}]."""
-
-    ambient_dim: int
-    coeffs: tuple[Fraction, ...]
 
     _wire_key = "coeffs_by_codim"
     _noun = "class"
@@ -472,18 +513,17 @@ class GradedClass(_CoeffVector):
         return f"{format_rational(mag)}[P^{self.ambient_dim - k}]"
 
 
-@dataclass(frozen=True)
-class LineBundleOnPn:
+class LineBundleOnPn(_Value):
     """A line bundle (or formal rational divisor) with c_1 = degree * H.
 
     Integer degree corresponds to an actual O(d); rational degree is
     permitted for formal divisors such as rho * X.
     """
 
-    degree: Fraction
+    _fields = ("degree",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", as_rational(self.degree))
+    def __init__(self, degree):  # built once or more per route: no _init loop
+        _set(self, "degree", as_rational(degree))
 
     def chern(self, ambient_dim: int, power: int = 1) -> HSeries:
         """c(L)^power = (1 + degree*H)^power on P^{ambient_dim}, for every

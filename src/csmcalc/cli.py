@@ -15,10 +15,13 @@ import json
 import sys
 from fractions import Fraction
 
-from . import charclass, scenarios
+from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
 from .chow import GradedClass, _encode, format_rational, parse_rational
 from .errors import INTERNAL_ERROR_EXIT, CharClassError, InputParseError, ValidationError
+
+# sorted(scenarios.SCENARIOS), spelled out so that --help needs no scenarios import
+_SCENARIO_NAMES = ("cone-over-nodal-curve", "smooth-hypersurface", "tangent-developable")
 
 
 def _load_source(value: str) -> dict:
@@ -211,14 +214,14 @@ def _parse_params(pairs) -> dict:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise InputParseError(f"--param expects key=value, got {pair!r}")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = parse_rational(value)
+        number = parse_rational(value)
+        params[key] = number if "/" in value else int(number)
     return params
 
 
 def _cmd_run_scenario(args) -> int:
+    from . import scenarios  # only here: its import is a cost every other command skips
+
     report = scenarios.run_scenario(args.name, **_parse_params(args.param))
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
@@ -309,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_multiplicities)
 
     p = sub.add_parser("run-scenario", help="run a named worked example")
-    p.add_argument("name", help=", ".join(sorted(scenarios.SCENARIOS)))
+    p.add_argument("name", help=", ".join(_SCENARIO_NAMES))
     p.add_argument(
         "--param", action="append", metavar="KEY=VALUE", help="scenario parameter"
     )

@@ -16,13 +16,12 @@ surfaces both exact values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
 
 from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
-from .chow import GradedClass, _check_int, _encode, format_rational
+from .chow import GradedClass, _Value, _check_int, _encode, format_rational
 from .errors import ValidationError
 
 PROVENANCES = ("published", "derived", "trivial")
@@ -38,22 +37,24 @@ def _render(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    name: str
-    computed: object
-    expected: object
-    provenance: str
-    passed: bool
+class ReportEntry(_Value):
+    _fields = ("name", "computed", "expected", "provenance", "passed")
+
+    def __init__(self, name, computed, expected, provenance, passed):
+        self._init(name, computed, expected, provenance, passed)
 
 
-@dataclass
-class ScenarioReport:
-    """Outcome of one scenario: inputs echoed, one pass/fail entry per check."""
+class ScenarioReport(_Value):
+    """Outcome of one scenario: inputs echoed, one pass/fail entry per check.
+    Unlike the other values it is mutable, and so not hashable."""
 
-    name: str
-    inputs: dict
-    entries: list[ReportEntry]
+    _fields = ("name", "inputs", "entries")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name, inputs, entries):
+        self._init(name, inputs, entries)
 
     @property
     def passed(self) -> bool:

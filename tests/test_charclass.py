@@ -5,6 +5,8 @@ independent symbolic-series oracle; the classical tangent-developable
 and nodal-cone inputs carry published answers.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import comb
@@ -806,3 +808,79 @@ class TestExceptionalMultiplicities:
             cc.exceptional_multiplicities(F(-1), F(2), dim, 0)
         with pytest.raises(ValidationError):
             cc.exceptional_multiplicities(F(-1), F(2), 4, dim)
+
+
+class TestValueObjects:
+    """InvariantData, BundleData and HypersurfaceSpec are immutable values:
+    printed, compared and hashed field by field (rho and sigma included)."""
+
+    @staticmethod
+    def values():
+        polar = {0: GradedClass.single(2, 1, 2)}
+        return {
+            "InvariantData": (
+                InvariantData(-1, 2),
+                "InvariantData(chi=Fraction(-1, 1), eu=Fraction(2, 1), "
+                "rho=Fraction(1, 3), sigma=Fraction(2, 3))",
+            ),
+            "BundleData": (
+                BundleData.line(1, 3),
+                "BundleData(rank=1, total_chern=HSeries(ambient_dim=1, "
+                "coeffs=(Fraction(1, 1), Fraction(3, 1))))",
+            ),
+            "HypersurfaceSpec": (
+                HypersurfaceSpec(2, 1, 2, polar),
+                "HypersurfaceSpec(n=2, r=1, d=Fraction(2, 1), polar=("
+                "GradedClass(ambient_dim=2, coeffs=(Fraction(0, 1), Fraction(2, 1), "
+                "Fraction(0, 1))), GradedClass(ambient_dim=2, coeffs=(Fraction(0, 1), "
+                "Fraction(0, 1), Fraction(0, 1)))), ambient_tangent=None)",
+            ),
+            "HypersurfaceSpec-tangent": (
+                HypersurfaceSpec(1, 0, "1/2", [C(1, 0, 1)], S(1, 1, 0)),
+                "HypersurfaceSpec(n=1, r=0, d=Fraction(1, 2), polar=("
+                "GradedClass(ambient_dim=1, coeffs=(Fraction(0, 1), Fraction(1, 1))),), "
+                "ambient_tangent=HSeries(ambient_dim=1, "
+                "coeffs=(Fraction(1, 1), Fraction(0, 1))))",
+            ),
+        }
+
+    @pytest.mark.parametrize("name", values())
+    def test_repr(self, name):
+        value, text = self.values()[name]
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("name", values())
+    def test_immutable(self, name):
+        value, text = self.values()[name]
+        for field in list(vars(value)) + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("name", values())
+    def test_equal_values_hash_equal_and_copy(self, name):
+        value = self.values()[name][0]
+        again = self.values()[name][0]
+        assert value is not again and value == again and hash(value) == hash(again)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+
+    def test_equality_covers_every_field(self):
+        assert InvariantData(-1, 2) != InvariantData(-1, 3)
+        assert BundleData(1, S(1, 1, 3)) != BundleData(2, S(1, 1, 3))
+        spec = HypersurfaceSpec(2, 1, 2, {0: GradedClass.single(2, 1, 2)})
+        assert spec != HypersurfaceSpec(2, 1, 3, {0: GradedClass.single(2, 1, 2)})
+        assert spec != HypersurfaceSpec(2, 1, 2, {0: GradedClass.single(2, 1, 2)}, S(2, 1, 1, 0))
+        assert InvariantData(-1, 2).__eq__((F(-1), F(2), F(1, 3), F(2, 3))) is NotImplemented
+
+    def test_keyword_construction(self):
+        assert InvariantData(eu=2, chi=-1) == InvariantData(F(-1), F(2))
+        with pytest.raises(TypeError):
+            InvariantData(-1, 2, rho=F(1, 3))
+        assert BundleData(rank=1, total_chern=S(1, 1, 3)) == BundleData.line(1, 3)
+        spec = HypersurfaceSpec(n=2, r=1, d=2, polar=[GradedClass.single(2, 1, 2)])
+        assert spec.ambient_tangent is None
+        assert spec == HypersurfaceSpec(2, 1, F(2), {0: GradedClass.single(2, 1, 2)}, None)

@@ -1,5 +1,7 @@
 """Core arithmetic: series, graded classes, dual/twist, JSON wire forms."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -629,3 +631,59 @@ class TestJsonWireForms:
     def test_bad_rational_rejected(self):
         with pytest.raises(InputParseError):
             GradedClass.from_json({"ambient_dim": 0, "coeffs_by_codim": ["1.5"]})
+
+
+HALF = "coeffs=(Fraction(1, 1), Fraction(1, 2), Fraction(0, 1))"
+
+
+class TestValueObjects:
+    """HSeries, GradedClass and LineBundleOnPn are immutable values: printed,
+    compared and hashed field by field, and equal only within one class."""
+
+    VALUES = {
+        "HSeries": (HSeries(2, (1, "1/2", 0)), f"HSeries(ambient_dim=2, {HALF})"),
+        "GradedClass": (
+            GradedClass(2, (F(1), F(1, 2), F(0))), f"GradedClass(ambient_dim=2, {HALF})"
+        ),
+        "LineBundleOnPn": (LineBundleOnPn(3), "LineBundleOnPn(degree=Fraction(3, 1))"),
+    }
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_repr(self, name):
+        value, text = self.VALUES[name]
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_immutable(self, name):
+        value, text = self.VALUES[name]
+        for field in list(vars(value)) + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_pickle_and_copies_are_equal(self, name):
+        value = self.VALUES[name][0]
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+
+    def test_equal_values_hash_equal(self):
+        a, b = HSeries(1, (1, "1/2")), HSeries.from_coeffs(1, [F(1), F(1, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert {LineBundleOnPn("1/2"), LineBundleOnPn(F(1, 2))} == {LineBundleOnPn(F(2, 4))}
+        assert C(1, 1, 2) != C(1, 1, 3) and C(1, 1, 2) != C(2, 1, 2)
+
+    def test_equal_only_within_one_class(self):
+        series, cls = S(2, 1, 2, 3), C(2, 1, 2, 3)
+        assert series.coeffs == cls.coeffs
+        assert series != cls and cls != series
+        assert series.__eq__(cls) is NotImplemented
+        assert LineBundleOnPn(3) != F(3) and S(0, 3) != (0, (F(3),))
+
+    def test_keyword_construction(self):
+        assert HSeries(ambient_dim=1, coeffs=(1, 2)) == S(1, 1, 2)
+        assert GradedClass(coeffs=(0, "4"), ambient_dim=1) == C(1, 0, 4)
+        assert LineBundleOnPn(degree="1/2").degree == F(1, 2)

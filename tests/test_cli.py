@@ -2,8 +2,13 @@
 
 import io
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
-from csmcalc import fulton_class, mather_from_polar, total_polar_class
+import csmcalc
+from csmcalc import cli, fulton_class, mather_from_polar, scenarios, total_polar_class
 from csmcalc.charclass import HypersurfaceSpec
 from csmcalc.chow import GradedClass
 from csmcalc.cli import run
@@ -186,6 +191,24 @@ class TestScenarioCommand:
         code, _, err = invoke(capsys, "run-scenario", "no-such-scenario")
         assert code == 3
         assert "unknown scenario" in err
+
+    def test_param_values_are_wire_rationals(self, capsys):
+        code, out, _ = invoke(
+            capsys, "run-scenario", "smooth-hypersurface", "--param", "n=3", "--param", "d=4"
+        )
+        assert code == 0
+        assert "scenario smooth-hypersurface: PASS" in out
+        code, _, err = invoke(capsys, "run-scenario", "cone-over-nodal-curve", "--param", "d=5/2")
+        assert code == 3
+        assert "must be an integer, got Fraction" in err
+        # int() would take "1_0" as 10; the wire format rejects it, like --d 1_0
+        code, out, err = invoke(capsys, "run-scenario", "cone-over-nodal-curve", "--param", "d=1_0")
+        assert (code, out) == (2, "")
+        assert "bad rational literal '1_0'" in err
+
+    def test_help_names_every_scenario(self, capsys):
+        assert cli._SCENARIO_NAMES == tuple(sorted(scenarios.SCENARIOS))
+        assert invoke(capsys, "run-scenario", "--help")[0] == 0
 
     def test_bad_param_shape(self, capsys):
         code, _, err = invoke(
@@ -386,3 +409,26 @@ class TestNormalBundleInput:
         )
         assert code == 3
         assert "rank" in err
+
+
+def test_cli_import_leaves_out_dataclasses_and_scenarios():
+    """Every CLI call imports csmcalc.cli afresh: dataclasses and scenarios
+    stay out of that import, and the package still offers every name."""
+    src = Path(csmcalc.__file__).resolve().parents[1]
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        import csmcalc.cli
+        loaded = {{"dataclasses", "csmcalc.scenarios"}} & set(sys.modules)
+        assert not loaded, loaded
+        import csmcalc
+        assert csmcalc.run_scenario.__module__ == "csmcalc.scenarios"
+        names = {{}}
+        exec("from csmcalc import *", names)
+        missing = set(csmcalc.__all__) - set(names) | set(csmcalc.__all__) - set(dir(csmcalc))
+        assert not missing, missing
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """The shipped worked examples and the report machinery."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +10,7 @@ from csmcalc.chow import GradedClass
 from csmcalc.errors import ValidationError
 from csmcalc.scenarios import (
     PROVENANCES,
+    ReportEntry,
     ScenarioReport,
     cone_over_nodal_curve,
     euler_smooth_hypersurface,
@@ -142,3 +145,66 @@ class TestRegistry:
     def test_unknown_parameter(self):
         with pytest.raises(ValidationError):
             run_scenario("tangent-developable", d=4)
+
+
+ENTRY_REPR = (
+    "ReportEntry(name='x', computed=Fraction(1, 2), expected=Fraction(1, 2), "
+    "provenance='derived', passed=True)"
+)
+
+
+class TestReportValues:
+    """A ReportEntry is an immutable value; a ScenarioReport is a mutable,
+    unhashable one.  Both print, compare and copy field by field."""
+
+    @staticmethod
+    def entry():
+        return ReportEntry("x", F(1, 2), F(1, 2), "derived", True)
+
+    def test_entry_repr_and_equality(self):
+        entry = self.entry()
+        assert repr(entry) == ENTRY_REPR
+        assert entry == self.entry() and hash(entry) == hash(self.entry())
+        assert entry != ReportEntry("x", F(1, 2), F(1, 2), "derived", False)
+        assert entry.__eq__(("x", F(1, 2), F(1, 2), "derived", True)) is NotImplemented
+        keyword = ReportEntry(passed=True, provenance="derived", expected=F(1, 2),
+                              computed=F(1, 2), name="x")
+        assert keyword == entry
+
+    def test_entry_is_immutable(self):
+        entry = self.entry()
+        for field in ("name", "computed", "expected", "provenance", "passed", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(entry, field, None)
+            with pytest.raises(AttributeError):
+                delattr(entry, field)
+        assert repr(entry) == ENTRY_REPR
+
+    def test_report_repr_and_equality(self):
+        report = ScenarioReport("demo", {"n": 2}, [self.entry()])
+        assert repr(report) == (
+            f"ScenarioReport(name='demo', inputs={{'n': 2}}, entries=[{ENTRY_REPR}])"
+        )
+        assert report == ScenarioReport(name="demo", inputs={"n": 2}, entries=[self.entry()])
+        assert report != ScenarioReport("demo", {"n": 2}, [])
+
+    def test_report_is_mutable_and_unhashable(self):
+        report = ScenarioReport("demo", {}, [])
+        report.check("x", F(1, 2), F(1, 2), "derived")
+        report.name = "renamed"
+        assert report == ScenarioReport("renamed", {}, [self.entry()])
+        del report.inputs
+        assert not hasattr(report, "inputs")
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_pickle_and_copies(self):
+        entry, report = self.entry(), ScenarioReport("demo", {"n": 2}, [self.entry()])
+        for value in (entry, report):
+            for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                         copy.deepcopy(value)):
+                assert type(twin) is type(value) and twin == value
+        deep = copy.deepcopy(report)
+        deep.entries.append(entry)
+        assert len(report.entries) == 1
+        assert hash(pickle.loads(pickle.dumps(entry))) == hash(entry)

@@ -3,9 +3,10 @@ the engine: every method it wraps is bound in its own class body,
 ``GradedClass.twist`` reaches no other traced kernel, since the tracer
 counts twist's products from its arguments alone, ``BundleData.twist_by``
 reaches the series only through ``twist``, every object built passes the
-counted ``__post_init__``, and the linear-factor kernel (``mul_linear``,
-``div_linear``) reaches no traced kernel either, so that its work stays
-out of the traced kernels' metrics."""
+counted ``__post_init__`` once, ``uninstall`` leaves every class as it was,
+and the linear-factor kernel (``mul_linear``, ``div_linear``) reaches no
+traced kernel either, so that its work stays out of the traced kernels'
+metrics."""
 
 import importlib.util
 from fractions import Fraction as F
@@ -79,6 +80,29 @@ def test_every_object_is_counted():
     # class and the result series
     assert tracer.counters["chow.objects_built"] == 2 + 1 + 3
     assert normal.total_chern == HSeries.one(3)
+
+
+def test_each_twin_built_through_init_is_counted_once():
+    tracer = _tracer()
+    tracer.install()
+    try:
+        for cls in (HSeries, GradedClass):
+            before = tracer.counters["chow.objects_built"]
+            cls(1, (F(1), F(2)))
+            cls(coeffs=(1, "1/2"), ambient_dim=1)
+            assert tracer.counters["chow.objects_built"] == before + 2
+    finally:
+        tracer.uninstall()
+
+
+def test_install_and_uninstall_restore_every_class_dict():
+    classes = (HSeries, GradedClass, charclass.HypersurfaceSpec, charclass.BundleData,
+               scenarios.ScenarioReport)
+    before = [dict(vars(cls)) for cls in classes]
+    tracer = _tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert [dict(vars(cls)) for cls in classes] == before
 
 
 def test_linear_factor_kernel_calls_no_traced_kernel(monkeypatch):
