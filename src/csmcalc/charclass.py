@@ -34,7 +34,7 @@ equations here; they enter as user inputs pushed forward to P^n.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .chow import (
     GradedClass,
@@ -48,7 +48,6 @@ from .chow import (
     _alternate,
     _check_int,
     _check_keys,
-    _numerators,
     _set,
 )
 from .errors import (
@@ -115,8 +114,8 @@ class BundleData(_Value):
 
     def dual(self) -> "BundleData":
         """Dual bundle: c_k(E*) = (-1)^k c_k(E)."""
-        coeffs = _alternate(self.total_chern.coeffs)
-        return BundleData(self.rank, HSeries(self.total_chern.ambient_dim, coeffs))
+        c = self.total_chern
+        return BundleData(self.rank, HSeries._reduce(c.ambient_dim, _alternate(c._nums), c._den))
 
     def twist_by(self, bundle: LineBundleOnPn) -> "BundleData":
         """Tensor by a line bundle, via the splitting-principle formula
@@ -124,9 +123,10 @@ class BundleData(_Value):
         c(E tensor L) = sum_{i<=e} c_i(E) H^i c(L)^{e-i},  e = rank E,
         i.e. the twist of c_0(E), ..., c_e(E) relative to dimension n - e.
         """
-        n, e = self.total_chern.ambient_dim, self.rank
-        low = GradedClass.from_coeffs(n, self.total_chern.coeffs[: e + 1])
-        return BundleData(e, HSeries(n, low.twist(bundle, n - e).coeffs))
+        c, e = self.total_chern, self.rank
+        n = c.ambient_dim
+        low = GradedClass._reduce(n, c._nums[: e + 1] + (0,) * (n - e), c._den).twist(bundle, n - e)
+        return BundleData(e, HSeries._reduce(n, low._nums, low._den))
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "total_chern": self.total_chern.to_json()}
@@ -178,7 +178,7 @@ class HypersurfaceSpec(_Value):
                     f"polar class {k} lives on P^{cls.ambient_dim}, spec declares P^{n}"
                 )
             expected_codim = n - (r - k)
-            if any(cls.coeffs[:expected_codim]) or any(cls.coeffs[expected_codim + 1:]):
+            if any(cls._nums[:expected_codim]) or any(cls._nums[expected_codim + 1:]):
                 raise ValidationError(f"polar class {k} must be supported in dimension {r - k}")
             dense[k] = cls
         if ambient_tangent is not None:
@@ -253,12 +253,16 @@ def total_polar_class(spec: HypersurfaceSpec) -> GradedClass:
     multiply it by (-1)^(n-r) * (-1)^(n-r+k) = (-1)^k; so the polar
     classes are gathered into one class as (-1)^k [P_k] and twisted once.
     """
-    n, r = spec.n, spec.r
-    coeffs = [Fraction(0)] * (n + 1)
-    for k, cls in enumerate(spec.polar):
-        c = cls.coeffs[n - r + k]
-        coeffs[n - r + k] = -c if k % 2 else c
-    return GradedClass(n, tuple(coeffs)).twist(LineBundleOnPn(Fraction(1)), n)
+    signed, den = _signed_polar(spec)
+    gathered = GradedClass._reduce(spec.n, [0] * (spec.n - spec.r) + signed, den)
+    return gathered.twist(LineBundleOnPn(Fraction(1)), spec.n)
+
+
+def _signed_polar(spec: HypersurfaceSpec) -> tuple[list[int], int]:
+    """(-1)^k T_k for each [P_k] = T_k/den in codimension n-r+k, over the
+    least common denominator den of the polar classes, and den."""
+    den, at = lcm(*(p._den for p in spec.polar)), spec.n - spec.r
+    return [(-1) ** k * p._nums[at + k] * (den // p._den) for k, p in enumerate(spec.polar)], den
 
 
 def mather_from_polar(spec: HypersurfaceSpec) -> GradedClass:
@@ -277,14 +281,13 @@ def mather_double_sum(spec: HypersurfaceSpec) -> GradedClass:
     codimension n-r+j and adds (-1)^j * C(r+1-j, i) * T_j to n-r+j+i.
     """
     n, r = spec.n, spec.r
-    nums, den = _numerators([p.coeffs[n - r + j] for j, p in enumerate(spec.polar)])
+    signed, den = _signed_polar(spec)
     out = [0] * (n + 1)
-    for j, t in enumerate(nums):
+    for j, t in enumerate(signed):
         if t:
-            t = -t if j % 2 else t
             for i in range(r + 1 - j):
                 out[n - r + j + i] += comb(r + 1 - j, i) * t
-    return GradedClass(n, tuple(Fraction(c, den) for c in out))
+    return GradedClass._reduce(n, out, den)
 
 
 def interpolated_class(
@@ -439,8 +442,8 @@ def solve_invariants(
         raise DimensionMismatchError("solver inputs disagree on P^n")
     d = as_rational(d)
     p, q = d.numerator, d.denominator
-    ys, dy = _numerators(c_y.coeffs)
-    ls, dl = _numerators(lhs.coeffs)
+    ys, dy = c_y._nums, c_y._den
+    ls, dl = lhs._nums, lhs._den
     # Row k:  u * c_y[k] + v * d * c_y[k-1]  =  lhs[k], times q*dy*dl
     rows = [
         (y * q * dl, p * ys[k - 1] * dl if k else 0, c * q * dy)

@@ -2,9 +2,10 @@
 
 The rational Chow group of P^n is free on the classes [P^0], ..., [P^n];
 its cohomology is Q[H]/(H^{n+1}) with H the hyperplane class.  Both are
-stored as dense coefficient vectors over :class:`fractions.Fraction`, so
-every operation here is a truncated polynomial product and all results
-are exact: re-running a computation yields bit-identical rationals.
+stored as dense coefficient vectors of integer numerators over one
+denominator, so every operation is a truncated polynomial product on
+integers and all results are exact: re-running a computation yields
+bit-identical rationals.  ``Fraction`` appears only at the edges.
 
 Grading convention: :class:`GradedClass` stores the coefficient of
 [P^{n-k}] at index k, i.e. classes are indexed by *codimension* in P^n.
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -104,11 +106,16 @@ def _digits(value: int) -> str:
     return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
 
 
+def _wire(num: int, den: int) -> str:
+    """Wire form of num/den, den > 0: "p" or "p/q" in lowest terms, by one gcd."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
+
+
 def format_rational(value: Fraction) -> str:
     """Wire form of a rational: "p" or "p/q" with q > 0 in lowest terms."""
-    if value.denominator == 1:
-        return _digits(value.numerator)
-    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    return _wire(value.numerator, value.denominator)
 
 
 def _encode(value):
@@ -143,30 +150,23 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _convolve(a, b) -> tuple[Fraction, ...]:
-    """Truncated product of two coefficient vectors of equal length n+1:
+def _convolve(a, b) -> list[int]:
+    """Truncated product of two integer vectors of equal length n+1:
     entry k is the sum of a[i] * b[j] over i + j = k, for k <= n.
 
-    Each operand is put over one common denominator and its integer
-    numerators are convolved, so no gcd is taken inside the double loop;
-    ``Fraction`` reduces each entry once at the end, which makes the
-    result equal to the product taken in ``Fraction`` arithmetic.  The
-    zeros of both operands are skipped, so the loop visits only pairs of
-    nonzero entries, whichever operand is the sparse one."""
+    The zeros of both operands are skipped, so the loop visits only pairs
+    of nonzero entries, whichever operand is the sparse one."""
     n = len(a) - 1
-    na, da = _numerators(a)
-    nb, db = _numerators(b)
-    inner = [(j, y) for j, y in enumerate(nb) if y]
+    inner = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (n + 1)
-    for i, x in enumerate(na):
+    for i, x in enumerate(a):
         if not x:
             continue
         for j, y in inner:
             if i + j > n:
                 break
             out[i + j] += x * y
-    d = da * db
-    return tuple(Fraction(c, d) for c in out)
+    return out
 
 
 def _binomials(e, count) -> list[int]:
@@ -179,7 +179,7 @@ def _binomials(e, count) -> list[int]:
     return out
 
 
-def _alternate(coeffs, shift=0) -> tuple[Fraction, ...]:
+def _alternate(coeffs, shift=0) -> tuple:
     """Negate the entries at indices k with k + shift odd."""
     return tuple(a if (k + shift) % 2 == 0 else -a for k, a in enumerate(coeffs))
 
@@ -226,37 +226,64 @@ class _Value:
 class _CoeffVector(_Value):
     """The n+1 exact coefficients on P^n that HSeries and GradedClass share.
 
-    Holds validation, construction, the dimension check, the pairwise and
-    scalar operations, the JSON codec and the printed form.  A subclass
-    is an immutable value with fields ``ambient_dim`` and ``coeffs``,
-    which ``__init__`` checks through the subclass's ``__post_init__``; it
-    sets ``_wire_key`` (the JSON key of the coefficient list), ``_noun``
-    and ``_what`` (its name in messages) and ``_term`` (how one nonzero
-    coefficient prints), and binds the operations it exposes to their
-    public names in its own class body: ``bench/tracer.py`` wraps them
-    per class, through the class ``__dict__``.
+    One form is stored: the integer numerators ``_nums`` over ``_den > 0``
+    with gcd(_den, *_nums) = 1, so ``_den`` is the least common
+    denominator and the form is canonical; equality and hashing compare
+    it.  Kernels read it and build their results with ``_reduce``, with no
+    per-entry ``Fraction``; ``coeffs``, the tuple of reduced ``Fraction``s,
+    is a view built on first read and cached (the constructor keeps the
+    tuple it coerced).  Every object passes ``__post_init__`` once.
+
+    A subclass sets ``_wire_key`` (the JSON key of the coefficient list),
+    ``_noun`` and ``_what`` (its name in messages) and ``_term`` (how one
+    nonzero coefficient prints), and binds the operations it exposes to
+    their public names in its own class body: ``bench/tracer.py`` wraps
+    them per class, through the class ``__dict__``.
     """
 
-    _fields = ("ambient_dim", "coeffs")
+    _fields = ("ambient_dim", "coeffs")  # the printed form
     _wire_key: str
     _noun: str
     _what: str
 
-    def __init__(self, ambient_dim, coeffs):  # every kernel result: no _init loop
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "coeffs", coeffs)
-        self.__post_init__()
-
-    def _validate(self):
-        n = _check_int(self.ambient_dim, "ambient_dim")
-        coeffs = tuple(self.coeffs)
+    def __init__(self, ambient_dim, coeffs):
+        n = _check_int(ambient_dim, "ambient_dim")
+        coeffs = tuple(coeffs)
         if not set(map(type, coeffs)) <= {Fraction}:  # one C-level pass
             coeffs = tuple(map(as_rational, coeffs))
-        if len(coeffs) != n + 1:
-            raise ValidationError(
-                f"{self._noun} on P^{n} needs {n + 1} coefficients, got {len(coeffs)}"
-            )
+        nums, den = _numerators(coeffs)
         _set(self, "coeffs", coeffs)
+        self._fill(n, tuple(nums), den)
+
+    def _fill(self, n, nums, den):
+        _set(self, "ambient_dim", n)
+        _set(self, "_nums", nums)
+        _set(self, "_den", den)
+        self.__post_init__()
+
+    @classmethod
+    def _reduce(cls, n, nums, den):
+        """A kernel result: nums over den > 0, brought to lowest terms by one gcd."""
+        g = gcd(den, *nums)
+        obj = cls.__new__(cls)
+        obj._fill(n, tuple(nums) if g == 1 else tuple(x // g for x in nums), den // g)
+        return obj
+
+    def _validate(self):
+        n = self.ambient_dim
+        if len(self._nums) != n + 1:
+            raise ValidationError(
+                f"{self._noun} on P^{n} needs {n + 1} coefficients, got {len(self._nums)}"
+            )
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, built on first read."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._nums)
+
+    def _values(self) -> list:
+        return [self.ambient_dim, self._nums, self._den]
 
     @classmethod
     def from_coeffs(cls, ambient_dim, values):
@@ -277,30 +304,28 @@ class _CoeffVector(_Value):
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
             )
 
-    def _add(self, other):
+    def _add(self, other, sign=1):
+        """self + sign*other, over their least common denominator."""
         self._check_dim(other)
-        return type(self)(
-            self.ambient_dim, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        nums = [x * sa + y * sb for x, y in zip(self._nums, other._nums)]
+        return self._reduce(self.ambient_dim, nums, den)
 
     def _sub(self, other):
-        self._check_dim(other)
-        return type(self)(
-            self.ambient_dim, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._add(other, -1)
 
     def _neg(self):
-        return type(self)(self.ambient_dim, tuple(-a for a in self.coeffs))
+        return self._reduce(self.ambient_dim, [-x for x in self._nums], self._den)
 
     def _scale(self, scalar):
         s = as_rational(scalar)
-        return type(self)(self.ambient_dim, tuple(s * a for a in self.coeffs))
+        nums = [s.numerator * x for x in self._nums]
+        return self._reduce(self.ambient_dim, nums, self._den * s.denominator)
 
     def _to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            self._wire_key: [format_rational(c) for c in self.coeffs],
-        }
+        wire = [_wire(x, self._den) for x in self._nums]
+        return {"ambient_dim": self.ambient_dim, self._wire_key: wire}
 
     def _from_json(cls, data):  # each subclass binds it as a classmethod
         _check_keys(data, {"ambient_dim", cls._wire_key}, what=cls._what)
@@ -345,12 +370,14 @@ class HSeries(_CoeffVector):
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     def __mul__(self, other):
         if isinstance(other, HSeries):
             self._check_dim(other)
-            return HSeries(self.ambient_dim, _convolve(self.coeffs, other.coeffs))
+            return HSeries._reduce(
+                self.ambient_dim, _convolve(self._nums, other._nums), self._den * other._den
+            )
         return self._scale(other)
 
     __rmul__ = __mul__
@@ -389,7 +416,9 @@ class HSeries(_CoeffVector):
         """Cap product with a graded class: convolution by codimension,
         with the class, often a single piece, as the outer operand."""
         self._check_dim(cls, GradedClass)
-        return GradedClass(self.ambient_dim, _convolve(cls.coeffs, self.coeffs))
+        return GradedClass._reduce(
+            self.ambient_dim, _convolve(cls._nums, self._nums), cls._den * self._den
+        )
 
     @staticmethod
     def _term(k, mag):
@@ -428,7 +457,7 @@ class GradedClass(_CoeffVector):
         return cls.from_coeffs(ambient_dim, [0] * codim + [value])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._nums)
 
     def _relative_dim(self, relative_dim) -> int:
         """dim M for dual and twist: an integer, n when not given."""
@@ -442,7 +471,8 @@ class GradedClass(_CoeffVector):
         pieces.  An involution for every m.
         """
         n = self.ambient_dim
-        return GradedClass(n, _alternate(self.coeffs, self._relative_dim(relative_dim) - n))
+        shift = self._relative_dim(relative_dim) - n
+        return GradedClass._reduce(n, _alternate(self._nums, shift), self._den)
 
     def twist(
         self, bundle: "LineBundleOnPn", relative_dim: int | None = None
@@ -453,10 +483,9 @@ class GradedClass(_CoeffVector):
         (1 + lambda*H) to the power minus its codimension in M.  The
         result is regraded and truncated beyond codimension n.
 
-        Computed on integers: with lambda = p/q and the class over one
-        common denominator den, piece a_k = A_k/den adds
-        A_k * C(e, i) * p^i * q^(n-i) to entry k+i, e = n-k-m; each entry
-        is reduced once, over den * q^n.
+        Computed on integers: with lambda = p/q and piece a_k = A_k/den,
+        A_k * C(e, i) * p^i * q^(n-i) is added to entry k+i, e = n-k-m,
+        over den * q^n.
         """
         if not isinstance(bundle, LineBundleOnPn):
             raise ValidationError(
@@ -466,48 +495,44 @@ class GradedClass(_CoeffVector):
         m = self._relative_dim(relative_dim)
         p, q = bundle.degree.numerator, bundle.degree.denominator
         scale = [p**i * q ** (n - i) for i in range(n + 1)]
-        nums, den = _numerators(self.coeffs)
         out = [0] * (n + 1)
-        for k, num in enumerate(nums):
+        for k, num in enumerate(self._nums):
             if not num:
                 continue
             # truncated at codimension n: the power is needed mod H^(n+1-k)
             for i, b in enumerate(_binomials(n - k - m, n + 1 - k)):
                 if b:
                     out[k + i] += num * b * scale[i]
-        d = den * q**n
-        return GradedClass(n, tuple(Fraction(c, d) for c in out))
+        return GradedClass._reduce(n, out, self._den * q**n)
 
     # The linear-factor kernel: cap with (a + b*H) or with 1/(1 + lam*H)
-    # in O(n), on integer numerators over one common denominator den.
+    # in O(n), on the class's numerators N_k over its denominator den.
 
     def mul_linear(self, a, b) -> "GradedClass":
-        """The class capped with (a + b*H): with entries N_k/den, a = A/q
-        and b = B/q, entry k is (A*N_k + B*N_(k-1)) / (den*q), reduced once."""
+        """The class capped with (a + b*H): with a = A/q and b = B/q,
+        entry k is (A*N_k + B*N_(k-1)) / (den*q)."""
         (na, nb), q = _numerators((as_rational(a), as_rational(b)))
-        nums, den = _numerators(self.coeffs)
-        d = den * q
-        return GradedClass(self.ambient_dim, tuple(
-            Fraction(na * x + nb * y, d) for x, y in zip(nums, [0] + nums)
-        ))
+        nums = self._nums
+        out = [na * x + nb * y for x, y in zip(nums, (0,) + nums)]
+        return GradedClass._reduce(self.ambient_dim, out, self._den * q)
 
     def div_linear(self, lam) -> "GradedClass":
         """The class capped with 1/(1 + lam*H), i.e. Y_k = X_k - lam*Y_(k-1):
-        with entries X_k = N_k/den and lam = p/q, B_k = N_k*q^k - p*B_(k-1)
-        on integers and Y_k = B_k / (den*q^k), each reduced once."""
+        with lam = p/q, Y_k = C_k / (den*q^n) for the integers
+        C_k = N_k*q^n - p*C_(k-1)/q, exact since C_(k-1) = den*q^n*Y_(k-1)
+        carries q^(n-k+1) (Y_(k-1) has denominator den*q^(k-1))."""
         lam = as_rational(lam)
         p, q = lam.numerator, lam.denominator
-        nums, den = _numerators(self.coeffs)
-        out, b, qk = [], 0, 1
-        for x in nums:
-            b = x * qk - p * b
-            out.append(Fraction(b, den * qk))
-            qk *= q
-        return GradedClass(self.ambient_dim, tuple(out))
+        n = self.ambient_dim
+        qn, out, c = q**n, [], 0
+        for x in self._nums:
+            c = x * qn - p * c // q
+            out.append(c)
+        return GradedClass._reduce(n, out, self._den * qn)
 
     def degree_zero_part(self) -> Fraction:
         """Coefficient of the point class [P^0]."""
-        return self.coeffs[self.ambient_dim]
+        return Fraction(self._nums[-1], self._den)
 
     def _term(self, k, mag):
         return f"{format_rational(mag)}[P^{self.ambient_dim - k}]"
@@ -529,14 +554,12 @@ class LineBundleOnPn(_Value):
         """c(L)^power = (1 + degree*H)^power on P^{ambient_dim}, for every
         integer power: with degree = p/q, a_i = C(power, i) * p^i / q^i,
         the binomial from its exact integer recurrence (negative powers
-        included) and each a_i reduced once."""
-        _check_int(ambient_dim, "ambient_dim")
+        included), all over q^n."""
+        n = _check_int(ambient_dim, "ambient_dim")
         _check_int(power, "power", low=None)
         p, q = self.degree.numerator, self.degree.denominator
-        return HSeries(ambient_dim, tuple(
-            Fraction(b * p**i, q**i)
-            for i, b in enumerate(_binomials(power, ambient_dim + 1))
-        ))
+        out = [b * p**i * q ** (n - i) for i, b in enumerate(_binomials(power, n + 1))]
+        return HSeries._reduce(n, out, q**n)
 
 
 def tangent_chern(n: int) -> HSeries:

@@ -316,3 +316,88 @@ class TestIdentitiesAtLargeN:
         else:
             expected = ((1 - d) ** (n + 1) - 1) / d + n + 1
         assert cc.fulton_class(n, d).degree_zero_part() == expected
+
+
+# The integer-form kernels against plain Fraction loops: n from 0 to 60,
+# denominators mixed up to 97, so that common denominators, their
+# rescalings and the final gcd are all exercised.
+form_dims = st.integers(min_value=0, max_value=60)
+mixed_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=97)
+non_integral = mixed_rationals.filter(lambda x: x.denominator != 1)
+
+
+@st.composite
+def mixed_vectors(draw, count=1):
+    n = draw(form_dims)
+    vectors = [tuple(draw(st.lists(mixed_rationals, min_size=n + 1, max_size=n + 1)))
+               for _ in range(count)]
+    return (n, *vectors)
+
+
+def _fraction_chern(lam, n, power):
+    out = [F(1)]
+    for k in range(1, n + 1):
+        out.append(out[-1] * (power - k + 1) * lam / k)
+    return tuple(out)
+
+
+def _fraction_cap(series, coeffs):
+    n = len(coeffs) - 1
+    return tuple(sum((series[i] * coeffs[k - i] for i in range(k + 1)), F(0))
+                 for k in range(n + 1))
+
+
+class TestIntegerFormMatchesFractionLoops:
+    @large_n
+    @given(mixed_vectors(), non_integral)
+    def test_div_linear(self, vectors, lam):
+        n, a = vectors
+        out, prev = [], F(0)
+        for x in a:
+            prev = x - lam * prev
+            out.append(prev)
+        got = GradedClass(n, a).div_linear(lam)
+        assert got.coeffs == tuple(out) and got == GradedClass(n, tuple(out))
+
+    @large_n
+    @given(form_dims, non_integral, st.data())
+    def test_chern(self, n, lam, data):
+        power = data.draw(st.integers(min_value=-n - 2, max_value=n + 2))
+        assert LineBundleOnPn(lam).chern(n, power).coeffs == _fraction_chern(lam, n, power)
+
+    @large_n
+    @given(mixed_vectors(), non_integral, st.data())
+    def test_twist(self, vectors, lam, data):
+        n, a = vectors
+        m = data.draw(st.integers(min_value=0, max_value=n + 3))
+        out = [F(0)] * (n + 1)
+        for k, x in enumerate(a):
+            for i, s in enumerate(_fraction_chern(lam, n - k, n - k - m)):
+                out[k + i] += x * s
+        got = GradedClass(n, a).twist(LineBundleOnPn(lam), m)
+        assert got.coeffs == tuple(out) and got == GradedClass(n, tuple(out))
+
+    @large_n
+    @given(mixed_vectors(), mixed_rationals)
+    def test_scale(self, vectors, s):
+        n, a = vectors
+        assert (GradedClass(n, a) * s).coeffs == tuple(s * x for x in a)
+        assert (s * HSeries(n, a)).coeffs == tuple(s * x for x in a)
+
+    @large_n
+    @given(mixed_vectors(count=2))
+    def test_add_and_sub(self, vectors):
+        n, a, b = vectors
+        for cls in (GradedClass, HSeries):
+            x, y = cls(n, a), cls(n, b)
+            assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+            assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
+            assert (-x).coeffs == tuple(-p for p in a)
+
+    @large_n
+    @given(mixed_vectors(count=2))
+    def test_cap_and_product(self, vectors):
+        n, s, a = vectors
+        expected = _fraction_cap(s, a)
+        assert HSeries(n, s).cap(GradedClass(n, a)).coeffs == expected
+        assert (HSeries(n, s) * HSeries(n, a)).coeffs == expected

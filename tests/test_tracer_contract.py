@@ -2,8 +2,9 @@
 the engine: every method it wraps is bound in its own class body,
 ``GradedClass.twist`` reaches no other traced kernel, since the tracer
 counts twist's products from its arguments alone, ``BundleData.twist_by``
-reaches the series only through ``twist``, every object built passes the
-counted ``__post_init__`` once, ``uninstall`` leaves every class as it was,
+reaches the series only through ``twist``, every object built, by the
+constructor or by a kernel, passes the counted ``__post_init__`` once,
+``uninstall`` leaves every class as it was,
 and the linear-factor kernel (``mul_linear``, ``div_linear``) reaches no
 traced kernel either, so that its work stays out of the traced kernels'
 metrics."""
@@ -91,6 +92,29 @@ def test_each_twin_built_through_init_is_counted_once():
             cls(1, (F(1), F(2)))
             cls(coeffs=(1, "1/2"), ambient_dim=1)
             assert tracer.counters["chow.objects_built"] == before + 2
+    finally:
+        tracer.uninstall()
+
+
+def test_each_kernel_result_is_counted_once():
+    a = GradedClass(3, (F(0), F(-4, 3), F(7), F(1, 6)))
+    s = HSeries(3, (F(1), F(2, 5), F(0), F(-3)))
+    bundle, normal = LineBundleOnPn(F(-5, 3)), charclass.BundleData(1, s)
+    kernels = {
+        "add": lambda: a + a, "sub": lambda: a - a, "neg": lambda: -a, "scale": lambda: a * 3,
+        "series_add": lambda: s + s, "series_sub": lambda: s - s, "series_neg": lambda: -s,
+        "mul": lambda: s * s, "series_scale": lambda: s * F(1, 2), "cap": lambda: s.cap(a),
+        "dual": lambda: a.dual(), "twist": lambda: a.twist(bundle), "chern": lambda: bundle.chern(3),
+        "mul_linear": lambda: a.mul_linear(1, F(2, 3)), "div_linear": lambda: a.div_linear(F(2, 3)),
+        "bundle_dual": lambda: normal.dual(),
+    }
+    tracer = _tracer()
+    tracer.install()
+    try:
+        for name, kernel in kernels.items():
+            before = tracer.counters["chow.objects_built"]
+            kernel()
+            assert tracer.counters["chow.objects_built"] == before + 1, name
     finally:
         tracer.uninstall()
 
