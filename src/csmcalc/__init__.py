@@ -24,6 +24,11 @@ from .errors import (
 __version__ = "0.1.0"
 
 _FROM_SCENARIOS = ("ScenarioReport", "euler_smooth_hypersurface", "run_scenario")
+# the names imported above, less the submodules those imports bind, and the lazy ones
+__all__ = sorted(
+    {name for name in (*globals(), *_FROM_SCENARIOS) if not name.startswith("_")}
+    - {"charclass", "chow", "errors"}
+)
 
 
 def __getattr__(name):  # scenarios, which only the named examples need, loads on first use
@@ -38,43 +43,3 @@ def __getattr__(name):  # scenarios, which only the named examples need, loads o
 def __dir__():
     return sorted({*globals(), "scenarios", *_FROM_SCENARIOS})
 
-
-__all__ = [
-    "BundleData",
-    "CharClassError",
-    "DegenerateInvariantsError",
-    "DimensionMismatchError",
-    "GradedClass",
-    "HSeries",
-    "HypersurfaceSpec",
-    "InconsistentSystemError",
-    "InputParseError",
-    "InvariantData",
-    "LineBundleOnPn",
-    "NonUnitError",
-    "Rational",
-    "ScenarioReport",
-    "UnderdeterminedSystemError",
-    "ValidationError",
-    "as_rational",
-    "csm_from_interpolation",
-    "csm_from_polar",
-    "csm_from_segre",
-    "euler_smooth_hypersurface",
-    "exceptional_multiplicities",
-    "format_rational",
-    "fulton_class",
-    "interpolated_class",
-    "mather_double_sum",
-    "mather_from_polar",
-    "mather_from_segre",
-    "parse_rational",
-    "run_scenario",
-    "segre_from_polar",
-    "segre_ym_to_yx",
-    "segre_yx_to_ym",
-    "solve_invariants",
-    "solver_lhs",
-    "tangent_chern",
-    "total_polar_class",
-]

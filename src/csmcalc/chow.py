@@ -132,6 +132,18 @@ def _encode(value):
     return value
 
 
+def _render(value) -> str:
+    """Table form of a result: rationals in wire form, dicts as {k: v},
+    lists and tuples as [...], anything else (a class) by ``str``."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_render(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_render(v) for v in value) + "]"
+    return str(value)
+
+
 def _check_keys(data, required, optional=frozenset(), what="object"):
     if not isinstance(data, dict):
         raise InputParseError(f"{what} must be a JSON object")

@@ -6,6 +6,13 @@ table (classes printed highest dimension first) or as JSON that can be
 piped straight back in.  All configuration is by flags; exit codes are
 0 success, 1 failing scenario, 2 parse, 3 validation, 4 degenerate
 invariants, 5 inconsistent system, 6 internal error.
+
+The subcommands are one table in ``_build_parser``: a name, help, a
+compute function returning ``(inputs, results)`` and the arguments.  One
+dispatcher loads ``--spec`` where a subcommand takes it (passing it in
+and echoing it first in ``inputs``) and prints the results as table
+lines or JSON; ``run-scenario`` prints its report itself.  Integer flags
+take the wire syntax ``[+-]?\\d+``: ``1_0`` is a parse error.
 """
 
 from __future__ import annotations
@@ -13,11 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
-from .chow import GradedClass, _encode, format_rational, parse_rational
+from .chow import _RATIONAL_RE, GradedClass, _encode, _render, parse_rational
 from .errors import INTERNAL_ERROR_EXIT, CharClassError, InputParseError, ValidationError
 
 # sorted(scenarios.SCENARIOS), spelled out so that --help needs no scenarios import
@@ -45,12 +51,21 @@ def _load_source(value: str) -> dict:
     return data
 
 
-def _load_spec(args) -> HypersurfaceSpec:
-    return HypersurfaceSpec.from_json(_load_source(args.spec))
+def _wire_int(value: str) -> int:
+    """argparse type of the integer flags: the wire literal without "/q".
+    It raises ArgumentTypeError, which argparse turns into exit 2 with the
+    message int would give; a CharClassError would escape parse_args."""
+    match = _RATIONAL_RE.fullmatch(value.strip())
+    if match and match[2] is None:
+        try:
+            return int(match[1])
+        except ValueError:  # past the interpreter's int-string digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
 
 
 def _load_invariants(args) -> InvariantData:
-    if getattr(args, "invariants", None) is not None:
+    if args.invariants is not None:
         if args.chi is not None or args.eu is not None:
             raise InputParseError("give either --invariants or --chi/--eu, not both")
         return InvariantData.from_json(_load_source(args.invariants))
@@ -59,117 +74,63 @@ def _load_invariants(args) -> InvariantData:
     return InvariantData(parse_rational(args.chi), parse_rational(args.eu))
 
 
-def _require_pn_hypersurface(spec: HypersurfaceSpec, what: str) -> None:
+def _fulton_and_mather(spec: HypersurfaceSpec):
+    """c_F and c_Ma for the interpolation route, which takes only a
+    hypersurface of P^n itself."""
     if spec.r != spec.n - 1:
         raise ValidationError(
-            f"{what} needs a hypersurface of P^n itself (r = n-1); got r={spec.r}, n={spec.n}"
+            "the interpolation route needs a hypersurface of P^n itself (r = n-1); "
+            f"got r={spec.r}, n={spec.n}"
         )
+    return charclass.fulton_class(spec.n, spec.d), charclass.mather_from_polar(spec)
 
 
-def _render(value) -> str:
-    if isinstance(value, InvariantData):
-        return (
-            f"Eu = {format_rational(value.eu)}  chi = {format_rational(value.chi)}  "
-            f"rho = {format_rational(value.rho)}  sigma = {format_rational(value.sigma)}"
-        )
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return "  ".join(f"{k} = {_render(v)}" for k, v in value.items())
-    return str(value)
-
-
-def _emit(args, inputs: dict, results: dict) -> int:
-    if args.format == "json":
-        payload = {"inputs": _encode(inputs)}
-        for key, value in results.items():
-            payload[key] = _encode(value)
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in results.items():
-            print(f"{key} = {_render(value)}")
-    return 0
-
-
-def _cmd_fulton(args) -> int:
+def _cmd_fulton(args):
     d = parse_rational(args.d)
-    result = charclass.fulton_class(args.n, d)
-    return _emit(args, {"n": args.n, "d": d}, {"c_fulton": result})
+    return {"n": args.n, "d": d}, {"c_fulton": charclass.fulton_class(args.n, d)}
 
 
-def _cmd_polar_total(args) -> int:
-    spec = _load_spec(args)
-    return _emit(args, {"spec": spec.to_json()}, {"total_polar": charclass.total_polar_class(spec)})
+def _cmd_polar_total(args, spec):
+    return {}, {"total_polar": charclass.total_polar_class(spec)}
 
 
-def _cmd_mather(args) -> int:
-    spec = _load_spec(args)
-    if args.method == "double-sum":
-        result = charclass.mather_double_sum(spec)
-    else:
-        result = charclass.mather_from_polar(spec)
-    return _emit(args, {"spec": spec.to_json(), "method": args.method}, {"c_mather": result})
+def _cmd_mather(args, spec):
+    double_sum = args.method == "double-sum"
+    route = charclass.mather_double_sum if double_sum else charclass.mather_from_polar
+    return {"method": args.method}, {"c_mather": route(spec)}
 
 
-def _cmd_interpolate(args) -> int:
-    spec = _load_spec(args)
-    _require_pn_hypersurface(spec, "the interpolation route")
+def _cmd_interpolate(args, spec):
+    c_fulton, c_mather = _fulton_and_mather(spec)
     alpha = parse_rational(args.alpha)
-    c_fulton = charclass.fulton_class(spec.n, spec.d)
-    c_mather = charclass.mather_from_polar(spec)
     c_alpha = charclass.interpolated_class(c_fulton, c_mather, spec.d, alpha)
-    return _emit(
-        args,
-        {"spec": spec.to_json(), "alpha": alpha},
-        {"c_fulton": c_fulton, "c_mather": c_mather, "c_alpha": c_alpha},
-    )
+    return {"alpha": alpha}, {"c_fulton": c_fulton, "c_mather": c_mather, "c_alpha": c_alpha}
 
 
-def _cmd_csm(args) -> int:
-    spec = _load_spec(args)
-    _require_pn_hypersurface(spec, "the interpolation route")
+def _cmd_csm(args, spec):
+    c_fulton, c_mather = _fulton_and_mather(spec)
     inv = _load_invariants(args)
-    c_fulton = charclass.fulton_class(spec.n, spec.d)
-    c_mather = charclass.mather_from_polar(spec)
     c_sm = charclass.csm_from_interpolation(c_fulton, c_mather, spec.d, inv)
-    return _emit(
-        args,
-        {"spec": spec.to_json()},
-        {"c_fulton": c_fulton, "c_mather": c_mather, "invariants": inv, "c_sm": c_sm},
-    )
+    return {}, {"c_fulton": c_fulton, "c_mather": c_mather, "invariants": inv, "c_sm": c_sm}
 
 
-def _cmd_csm_polar(args) -> int:
-    spec = _load_spec(args)
+def _cmd_csm_polar(args, spec):
     inv = _load_invariants(args)
-    return _emit(
-        args,
-        {"spec": spec.to_json()},
-        {
-            "invariants": inv,
-            "total_polar": charclass.total_polar_class(spec),
-            "c_sm": charclass.csm_from_polar(spec, inv),
-        },
-    )
+    total_polar, c_sm = charclass.total_polar_class(spec), charclass.csm_from_polar(spec, inv)
+    return {}, {"invariants": inv, "total_polar": total_polar, "c_sm": c_sm}
 
 
-def _cmd_segre_polar(args) -> int:
-    spec = _load_spec(args)
+def _cmd_segre_polar(args, spec):
     if args.normal is not None:
         normal = BundleData.from_json(_load_source(args.normal))
     elif spec.r == spec.n - 1:
         normal = BundleData.line(spec.n, spec.d)
     else:
         raise ValidationError("--normal bundle data is required when r < n-1")
-    s_yx = charclass.segre_from_polar(spec, normal)
-    return _emit(
-        args,
-        {"spec": spec.to_json(), "normal": normal.to_json()},
-        {"s_YX": s_yx},
-    )
+    return {"normal": normal}, {"s_YX": charclass.segre_from_polar(spec, normal)}
 
 
-def _cmd_segre_convert(args) -> int:
+def _cmd_segre_convert(args):
     inv = _load_invariants(args)
     d = parse_rational(args.d)
     cls = GradedClass.from_json(_load_source(args.segre))
@@ -177,35 +138,22 @@ def _cmd_segre_convert(args) -> int:
         results = {"s_YM": charclass.segre_yx_to_ym(cls, d, inv)}
     else:
         results = {"s_YX": charclass.segre_ym_to_yx(cls, d, inv)}
-    return _emit(
-        args,
-        {"segre": cls.to_json(), "d": d, "direction": args.direction},
-        results,
-    )
+    return {"segre": cls, "d": d, "direction": args.direction}, results
 
 
-def _cmd_solve_invariants(args) -> int:
+def _cmd_solve_invariants(args):
     lhs = GradedClass.from_json(_load_source(args.lhs))
     c_y = GradedClass.from_json(_load_source(args.cy))
     d = parse_rational(args.d)
     eu, chi = charclass.solve_invariants(lhs, c_y, d)
-    inv = InvariantData(chi, eu)
-    return _emit(
-        args,
-        {"lhs": lhs.to_json(), "c_y": c_y.to_json(), "d": d},
-        {"invariants": inv},
-    )
+    return {"lhs": lhs, "c_y": c_y, "d": d}, {"invariants": InvariantData(chi, eu)}
 
 
-def _cmd_multiplicities(args) -> int:
-    m, n = charclass.exceptional_multiplicities(
-        parse_rational(args.chi), parse_rational(args.eu), args.dim_x, args.dim_y
-    )
-    return _emit(
-        args,
-        {"chi": args.chi, "eu": args.eu, "dim_x": args.dim_x, "dim_y": args.dim_y},
-        {"multiplicities": {"m": m, "n": n}},
-    )
+def _cmd_multiplicities(args):
+    chi, eu = parse_rational(args.chi), parse_rational(args.eu)
+    m, n = charclass.exceptional_multiplicities(chi, eu, args.dim_x, args.dim_y)
+    inputs = {"chi": chi, "eu": eu, "dim_x": args.dim_x, "dim_y": args.dim_y}
+    return inputs, {"multiplicities": {"m": m, "n": n}}
 
 
 def _parse_params(pairs) -> dict:
@@ -230,110 +178,100 @@ def _cmd_run_scenario(args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_invariant_flags(parser) -> None:
-    parser.add_argument("--chi", help="Milnor-fiber Euler characteristic (rational)")
-    parser.add_argument("--eu", help="local Euler obstruction (rational)")
-    parser.add_argument(
-        "--invariants", metavar="SRC", help='invariants JSON {"chi": ..., "eu": ...}'
-    )
+def _pairs(value) -> str:
+    """A table line's value: a dict or InvariantData as `k = v` pairs
+    joined by two spaces, every leaf through _render."""
+    if isinstance(value, InvariantData):
+        value = {"Eu": value.eu, "chi": value.chi, "rho": value.rho, "sigma": value.sigma}
+    if isinstance(value, dict):
+        return "  ".join(f"{k} = {_render(v)}" for k, v in value.items())
+    return _render(value)
+
+
+def _dispatch(args) -> int:
+    """Run the parsed subcommand and print its results."""
+    if args.subcommand == "run-scenario":  # a report is not a results dict: it prints itself
+        return args.compute(args)
+    if "spec" in args:
+        spec = HypersurfaceSpec.from_json(_load_source(args.spec))
+        inputs, results = args.compute(args, spec)
+        inputs = {"spec": spec, **inputs}
+    else:
+        inputs, results = args.compute(args)
+    if args.format == "json":
+        print(json.dumps(_encode({"inputs": inputs, **results}), indent=2))
+    else:
+        for key, value in results.items():
+            print(f"{key} = {_pairs(value)}")
+    return 0
+
+
+_SPEC_HELP = "hypersurface spec JSON (file path, inline JSON, or - for stdin)"
+_SPEC = ("--spec", {"required": True, "help": _SPEC_HELP})
+_DIVISOR = ("--d", {"required": True, "help": "divisor action (rational)"})
+_INVARIANTS = (
+    ("--chi", {"help": "Milnor-fiber Euler characteristic (rational)"}),
+    ("--eu", {"help": "local Euler obstruction (rational)"}),
+    ("--invariants", {"metavar": "SRC", "help": 'invariants JSON {"chi": ..., "eu": ...}'}),
+)
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": _wire_int, "required": True}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # built on each run(), so every row names the compute function current at that call
+    table = (
+        ("fulton", "Fulton class of a degree-d hypersurface of P^n", _cmd_fulton,
+            ("--n", _REQUIRED_INT), ("--d", _REQUIRED)),
+        ("polar-total", "signed O(1)-twisted total polar class [P]", _cmd_polar_total, _SPEC),
+        ("mather", "Chern-Mather class from polar classes", _cmd_mather, _SPEC,
+            ("--method", {"choices": ("cap", "double-sum"), "default": "cap",
+                          "help": "cap against c(TP^n), or the explicit double sum"})),
+        ("interpolate", "the class c_(alpha) between Mather and Fulton", _cmd_interpolate, _SPEC,
+            ("--alpha", {"required": True, "help": "interpolation weight (rational)"})),
+        ("csm", "CSM class via interpolation at alpha = rho", _cmd_csm, _SPEC, *_INVARIANTS),
+        ("csm-polar", "CSM class straight from polar data", _cmd_csm_polar, _SPEC, *_INVARIANTS),
+        ("segre-polar", "Segre class s(Y,X) of the singularity subscheme from polar data",
+            _cmd_segre_polar, _SPEC,
+            ("--normal", {"help": "normal bundle JSON (defaults to O(d) when r = n-1)"})),
+        ("segre-convert", "convert between s(Y,X) and s(Y,M)", _cmd_segre_convert,
+            ("--direction", {"choices": ("yx-to-ym", "ym-to-yx"), "required": True}),
+            ("--segre", {"required": True, "help": "graded class JSON to convert"}),
+            _DIVISOR, *_INVARIANTS),
+        ("solve-invariants", "recover (Eu, chi) from class data", _cmd_solve_invariants,
+            ("--lhs", {"required": True, "help": "(1+X)(c_Ma - c_F) as graded class JSON"}),
+            ("--cy", {"required": True, "help": "pushforward of c(TY') cap [Y'] as JSON"}),
+            _DIVISOR),
+        ("multiplicities", "singularity cycle multiplicities (m, n)", _cmd_multiplicities,
+            ("--chi", _REQUIRED), ("--eu", _REQUIRED),
+            ("--dim-x", _REQUIRED_INT), ("--dim-y", _REQUIRED_INT)),
+        ("run-scenario", "run a named worked example", _cmd_run_scenario,
+            ("name", {"help": ", ".join(_SCENARIO_NAMES)}),
+            ("--param", {"action": "append", "metavar": "KEY=VALUE",
+                         "help": "scenario parameter"})),
+    )
     parser = argparse.ArgumentParser(
         prog="csmcalc",
         description="Exact characteristic classes of singular projective hypersurfaces.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    spec_help = "hypersurface spec JSON (file path, inline JSON, or - for stdin)"
-
-    p = sub.add_parser("fulton", help="Fulton class of a degree-d hypersurface of P^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", required=True)
-    p.set_defaults(handler=_cmd_fulton)
-
-    p = sub.add_parser("polar-total", help="signed O(1)-twisted total polar class [P]")
-    p.add_argument("--spec", required=True, help=spec_help)
-    p.set_defaults(handler=_cmd_polar_total)
-
-    p = sub.add_parser("mather", help="Chern-Mather class from polar classes")
-    p.add_argument("--spec", required=True, help=spec_help)
-    p.add_argument(
-        "--method",
-        choices=("cap", "double-sum"),
-        default="cap",
-        help="cap against c(TP^n), or the explicit double sum",
-    )
-    p.set_defaults(handler=_cmd_mather)
-
-    p = sub.add_parser("interpolate", help="the class c_(alpha) between Mather and Fulton")
-    p.add_argument("--spec", required=True, help=spec_help)
-    p.add_argument("--alpha", required=True, help="interpolation weight (rational)")
-    p.set_defaults(handler=_cmd_interpolate)
-
-    p = sub.add_parser("csm", help="CSM class via interpolation at alpha = rho")
-    p.add_argument("--spec", required=True, help=spec_help)
-    _add_invariant_flags(p)
-    p.set_defaults(handler=_cmd_csm)
-
-    p = sub.add_parser("csm-polar", help="CSM class straight from polar data")
-    p.add_argument("--spec", required=True, help=spec_help)
-    _add_invariant_flags(p)
-    p.set_defaults(handler=_cmd_csm_polar)
-
-    p = sub.add_parser(
-        "segre-polar", help="Segre class s(Y,X) of the singularity subscheme from polar data"
-    )
-    p.add_argument("--spec", required=True, help=spec_help)
-    p.add_argument("--normal", help="normal bundle JSON (defaults to O(d) when r = n-1)")
-    p.set_defaults(handler=_cmd_segre_polar)
-
-    p = sub.add_parser("segre-convert", help="convert between s(Y,X) and s(Y,M)")
-    p.add_argument(
-        "--direction", choices=("yx-to-ym", "ym-to-yx"), required=True
-    )
-    p.add_argument("--segre", required=True, help="graded class JSON to convert")
-    p.add_argument("--d", required=True, help="divisor action (rational)")
-    _add_invariant_flags(p)
-    p.set_defaults(handler=_cmd_segre_convert)
-
-    p = sub.add_parser(
-        "solve-invariants", help="recover (Eu, chi) from class data"
-    )
-    p.add_argument("--lhs", required=True, help="(1+X)(c_Ma - c_F) as graded class JSON")
-    p.add_argument("--cy", required=True, help="pushforward of c(TY') cap [Y'] as JSON")
-    p.add_argument("--d", required=True, help="divisor action (rational)")
-    p.set_defaults(handler=_cmd_solve_invariants)
-
-    p = sub.add_parser("multiplicities", help="singularity cycle multiplicities (m, n)")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--eu", required=True)
-    p.add_argument("--dim-x", type=int, required=True)
-    p.add_argument("--dim-y", type=int, required=True)
-    p.set_defaults(handler=_cmd_multiplicities)
-
-    p = sub.add_parser("run-scenario", help="run a named worked example")
-    p.add_argument("name", help=", ".join(_SCENARIO_NAMES))
-    p.add_argument(
-        "--param", action="append", metavar="KEY=VALUE", help="scenario parameter"
-    )
-    p.set_defaults(handler=_cmd_run_scenario)
-
-    for p in sub.choices.values():
-        p.add_argument(
-            "--format", choices=("table", "json"), default="table", help="output mode"
-        )
+    for name, help_text, compute, *arguments in table:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--format", choices=("table", "json"), default="table", help="output mode")
+        p.set_defaults(compute=compute)
     return parser
 
 
 def run(argv=None) -> int:
     """Parse argv, execute, and return the process exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        return _dispatch(args)
     except CharClassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -21,20 +21,10 @@ from importlib.resources import files
 
 from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
-from .chow import GradedClass, _Value, _check_int, _encode, format_rational
+from .chow import GradedClass, _Value, _check_int, _encode, _render, format_rational
 from .errors import ValidationError
 
 PROVENANCES = ("published", "derived", "trivial")
-
-
-def _render(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{k}: {_render(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
-    return str(value)
 
 
 class ReportEntry(_Value):

@@ -7,6 +7,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import csmcalc
 from csmcalc import cli, fulton_class, mather_from_polar, scenarios, total_polar_class
 from csmcalc.charclass import HypersurfaceSpec
@@ -171,6 +173,16 @@ class TestJsonOutputs:
         }
 
 
+    def test_multiplicities_echoes_parsed_rationals(self, capsys):
+        code, out, _ = invoke(
+            capsys,
+            "multiplicities", "--chi", " -2/4", "--eu=+2", "--dim-x", "2", "--dim-y", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"] == {"chi": "-1/2", "eu": "2", "dim_x": 2, "dim_y": 1}
+
+
 class TestScenarioCommand:
     def test_table(self, capsys):
         code, out, _ = invoke(capsys, "run-scenario", "tangent-developable")
@@ -206,6 +218,22 @@ class TestScenarioCommand:
         assert (code, out) == (2, "")
         assert "bad rational literal '1_0'" in err
 
+    def test_integer_flags_are_wire_integers(self, capsys):
+        # argparse's int would take "1_0" as 10; the wire syntax [+-]?\d+ does not
+        for argv in (
+            ["fulton", "--n", "1_0", "--d", "4"],
+            ["multiplicities", "--chi=-1", "--eu=2", "--dim-x", "1_0", "--dim-y", "1"],
+            ["multiplicities", "--chi=-1", "--eu=2", "--dim-x", "2", "--dim-y", "0_1"],
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "invalid int value: '" in err
+        assert invoke(capsys, "fulton", "--n", "+3", "--d", "4")[:2] == (
+            0, "c_fulton = 4[P^2] + 24[P^0]\n"
+        )
+        assert invoke(capsys, "fulton", "--n", "2.0", "--d", "4")[0] == 2
+        assert invoke(capsys, "fulton", "--n", "7" * 5000, "--d", "4")[0] == 2
+
     def test_help_names_every_scenario(self, capsys):
         assert cli._SCENARIO_NAMES == tuple(sorted(scenarios.SCENARIOS))
         assert invoke(capsys, "run-scenario", "--help")[0] == 0
@@ -216,6 +244,48 @@ class TestScenarioCommand:
         )
         assert code == 2
         assert "key=value" in err
+
+
+# one call of every compute subcommand on the tangent-developable fixtures
+DISPATCHED = [
+    ["fulton", "--n", "3", "--d", "4"],
+    ["polar-total", "--spec", SPEC_JSON],
+    ["mather", "--spec", SPEC_JSON, "--method", "double-sum"],
+    ["interpolate", "--spec", SPEC_JSON, "--alpha", "1/3"],
+    ["csm", "--spec", SPEC_JSON, "--chi=-1", "--eu=2"],
+    ["csm-polar", "--spec", SPEC_JSON, "--chi=-1", "--eu=2"],
+    ["segre-polar", "--spec", SPEC_JSON],
+    ["segre-convert", "--direction", "yx-to-ym", "--segre", json.dumps(
+        fixture_json("tangent_developable_cy.json")), "--d", "4", "--chi=-1", "--eu=2"],
+    ["solve-invariants", "--lhs", LHS_JSON, "--cy", CY_JSON, "--d", "4"],
+    ["multiplicities", "--chi=-1", "--eu=2", "--dim-x", "2", "--dim-y", "1"],
+]
+
+
+class TestDispatcher:
+    @pytest.mark.parametrize("argv", DISPATCHED, ids=lambda argv: argv[0])
+    def test_table_lines_match_json_results(self, capsys, argv):
+        code, table, _ = invoke(capsys, *argv)
+        assert code == 0
+        code, as_json, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(as_json)
+        assert list(payload)[0] == "inputs"
+        keys = [line.split(" = ", 1)[0] for line in table.splitlines()]
+        assert keys == list(payload)[1:]
+        if "--spec" in argv:
+            echoed = payload["inputs"]["spec"]
+            assert list(payload["inputs"])[0] == "spec"
+            assert HypersurfaceSpec.from_json(echoed) == HypersurfaceSpec.from_json(
+                json.loads(SPEC_JSON)
+            )
+        else:
+            assert "spec" not in payload["inputs"]
+
+    def test_every_compute_subcommand_is_covered(self, capsys):
+        usage = invoke(capsys, "--help")[1]
+        names = set(usage[usage.index("{") + 1 : usage.index("}")].split(","))
+        assert names - {"run-scenario"} == {argv[0] for argv in DISPATCHED}
 
 
 class TestExitCodes:

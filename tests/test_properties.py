@@ -1,6 +1,7 @@
 """Property-based tests of the algebraic identities the engine relies on."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,6 +265,60 @@ class TestSmoothDegeneration:
         c_fulton = cc.fulton_class(n, d)
         assert cc.mather_from_polar(smooth) == c_fulton
         assert cc.segre_from_polar(smooth, BundleData.line(n, d)).is_zero()
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_euler_oracle_matches_fulton_up_to_240(self, d):
+        # every n in one test per d: 1,680 cases, 0.5 s in all
+        for n in range(1, 241):
+            expected = euler_smooth_hypersurface(n, d)
+            assert cc.fulton_class(n, d).degree_zero_part() == expected, n
+
+
+def _cone_spec(n, d):
+    """X in P^n, the cone over a smooth degree-d hypersurface Y of P^(n-1):
+    [P_k] = d(d-1)^k [P^(n-1-k)] for k <= n-2, and [P_(n-1)] = 0."""
+    return HypersurfaceSpec(
+        n, n - 1, F(d), {k: GradedClass.single(n, 1 + k, d * (d - 1) ** k) for k in range(n - 1)}
+    )
+
+
+def _cone_vertex_eu(n, d):
+    """Euler obstruction of the cone at its vertex (Gonzalez-Sprinberg):
+    sum over i <= n-2 of (-1)^i * d * c_(n-2-i)(TY), with the Chern
+    numbers c_j(TY) of (1+h)^n / (1+dh) expanded on plain integers."""
+    c = [sum(comb(n, a) * (-d) ** (j - a) for a in range(j + 1)) for j in range(n - 1)]
+    return d * sum((-1) ** i * c[n - 2 - i] for i in range(n - 1))
+
+
+class TestConesOverSmoothHypersurfaces:
+    """Closed-form answers for a singular X at every size.  The vertex is
+    the whole singular locus, so the invariants are constant: chi is that
+    of the Milnor fibre of a homogeneous isolated singularity,
+    1 + (-1)^(n-1) (d-1)^n, and Eu is the cone's Euler obstruction.  Then
+    the degree of c_Ma is chi(Y) + Eu and that of c_SM is chi(X) = chi(Y) + 1,
+    on every route, including the ones that share total_polar_class."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7])
+    def test_degrees_on_every_route(self, d):
+        for n in [*range(2, 41), 60, 120, 240]:
+            spec = _cone_spec(n, d)
+            chi_y = euler_smooth_hypersurface(n - 1, d)
+            eu = _cone_vertex_eu(n, d)
+            inv = InvariantData(1 + (-1) ** (n - 1) * (d - 1) ** n, eu)
+            s_yx = cc.segre_from_polar(spec, BundleData.line(n, d))
+            c_mather = cc.mather_from_polar(spec)
+            mather_routes = (c_mather, cc.mather_double_sum(spec), cc.mather_from_segre(s_yx, n, d))
+            csm_routes = (
+                cc.csm_from_polar(spec, inv),
+                cc.csm_from_interpolation(cc.fulton_class(n, d), c_mather, d, inv),
+                cc.csm_from_segre(cc.segre_yx_to_ym(s_yx, d, inv), n, d),
+            )
+            assert [c.degree_zero_part() for c in mather_routes] == [chi_y + eu] * 3, n
+            assert [c.degree_zero_part() for c in csm_routes] == [chi_y + 1] * 3, n
+
+    def test_vertex_eu_of_plane_curve_cones_is_the_multiplicity(self):
+        # n = 2: d concurrent lines, whose Euler obstruction at the vertex is d
+        assert [_cone_vertex_eu(2, d) for d in (2, 3, 4, 7)] == [2, 3, 4, 7]
 
 
 class TestIdentitiesAtLargeN:
