@@ -81,12 +81,7 @@ class InvariantData(_Value):
         self._init(chi, eu, (1 - eu) / (chi - eu), (chi - 1) / (chi - eu))
 
     def to_json(self) -> dict:
-        return {
-            "chi": format_rational(self.chi),
-            "eu": format_rational(self.eu),
-            "rho": format_rational(self.rho),
-            "sigma": format_rational(self.sigma),
-        }
+        return {f: format_rational(getattr(self, f)) for f in self._fields}
 
     @classmethod
     def from_json(cls, data) -> "InvariantData":
@@ -224,7 +219,10 @@ class HypersurfaceSpec(_Value):
         for key, value in data["polar"].items():
             if not isinstance(key, str) or not key.isdecimal():
                 raise InputParseError(f"polar key {key!r} is not a polar index")
-            polar[int(key)] = GradedClass.from_json(value)
+            index = parse_rational(key).numerator  # exit 2 past the int-string digit limit
+            if index in polar:  # "1", "01" and "\u0661" name one index
+                raise InputParseError(f"polar key {key!r} repeats polar index {index}")
+            polar[index] = GradedClass.from_json(value)
         tangent = None
         if "ambient_tangent" in data:
             tangent = HSeries.from_json(data["ambient_tangent"])
@@ -302,8 +300,6 @@ def interpolated_class(
     rational alpha; alpha = 0 returns c_Ma and alpha = 1 returns c_F
     exactly.
     """
-    if c_fulton.ambient_dim != c_mather.ambient_dim:
-        raise DimensionMismatchError("Fulton and Mather classes disagree on P^n")
     alpha = as_rational(alpha)
     return c_fulton + (c_mather - c_fulton).div_linear(alpha * as_rational(d)) * (1 - alpha)
 
@@ -316,23 +312,18 @@ def csm_from_interpolation(
 
 
 def csm_from_polar(spec: HypersurfaceSpec, inv: InvariantData) -> GradedClass:
-    """CSM class straight from polar data:
+    """CSM class straight from polar data, for every ambient M:
 
         c_SM = c(TM) cap rho[X]/(1 + rho X) + c(TP^n) cap sigma[P]/(1 + rho X).
 
-    c(TM) is ``spec.ambient_tangent`` (c(TP^n) by default) and X acts
-    as ``spec.d`` times H.  The two caps are taken first (one cap of the
-    sum when c(TM) = c(TP^n)), then the sum is divided once by
-    (1 + rho*d*H) in the linear-factor kernel.
+    c(TM) is ``spec.ambient_tangent``, c(TP^n) when it is not given, and X
+    acts as ``spec.d`` times H.  Both caps are taken first, then their sum
+    is divided once by (1 + rho*d*H) in the linear-factor kernel.
     """
     tangent = tangent_chern(spec.n)
-    virtual = inv.rho * spec.fundamental_class
-    milnor = inv.sigma * total_polar_class(spec)
-    if spec.ambient_tangent is None:
-        capped = tangent.cap(virtual + milnor)
-    else:
-        capped = spec.ambient_tangent.cap(virtual) + tangent.cap(milnor)
-    return capped.div_linear(inv.rho * spec.d)
+    virtual = (spec.ambient_tangent or tangent).cap(inv.rho * spec.fundamental_class)
+    milnor = tangent.cap(inv.sigma * total_polar_class(spec))
+    return (virtual + milnor).div_linear(inv.rho * spec.d)
 
 
 def segre_ym_to_yx(s_ym: GradedClass, d, inv: InvariantData) -> GradedClass:
@@ -351,21 +342,14 @@ def segre_yx_to_ym(s_yx: GradedClass, d, inv: InvariantData) -> GradedClass:
     return s_yx.div_linear(inv.sigma * as_rational(d)) * inv.sigma
 
 
-def _hypersurface_segre_part(n: int, d: Fraction) -> GradedClass:
-    # s(X, P^n) = [X]/(1+X) for a degree-d hypersurface of P^n
-    return GradedClass.single(n, 1, d).div_linear(d)
-
-
 def mather_from_segre(s_yx: GradedClass, n: int, d) -> GradedClass:
     """Chern-Mather class of a degree-d hypersurface X of P^n from s(Y,X):
 
         c_Ma = c(TP^n) cap ( [X]/(1+X) + dual(s(Y,X)) twisted by O(d) ).
     """
-    if s_yx.ambient_dim != n:
-        raise DimensionMismatchError("Segre class has the wrong ambient dimension")
     d = as_rational(d)
-    inner = _hypersurface_segre_part(n, d) + s_yx.dual(n).twist(LineBundleOnPn(d), n)
-    return tangent_chern(n).cap(inner)
+    x_in_pn = GradedClass.single(n, 1, d).div_linear(d)  # s(X, P^n) = [X]/(1+X)
+    return tangent_chern(n).cap(x_in_pn + s_yx.dual(n).twist(LineBundleOnPn(d), n))
 
 
 def csm_from_segre(s_ym: GradedClass, n: int, d) -> GradedClass:
@@ -373,14 +357,11 @@ def csm_from_segre(s_ym: GradedClass, n: int, d) -> GradedClass:
 
         c_SM = c(TP^n) cap ( [X]/(1+X) + dual(c(L) cap s(Y,M)) twisted by O(d) )
 
-    with L = O(d) restricted to Y; c(L) cap s(Y,M) is one multiplication
-    by (1 + d*H) in the linear-factor kernel.
+    with L = O(d) restricted to Y: the Mather formula of
+    :func:`mather_from_segre` with s(Y,X) replaced by c(L) cap s(Y,M), one
+    multiplication by (1 + d*H) in the linear-factor kernel.
     """
-    if s_ym.ambient_dim != n:
-        raise DimensionMismatchError("Segre class has the wrong ambient dimension")
-    d = as_rational(d)
-    twisted = s_ym.mul_linear(1, d).dual(n).twist(LineBundleOnPn(d), n)
-    return tangent_chern(n).cap(_hypersurface_segre_part(n, d) + twisted)
+    return mather_from_segre(s_ym.mul_linear(1, d), n, d)
 
 
 def segre_from_polar(
@@ -408,9 +389,7 @@ def segre_from_polar(
     d = spec.d if d is None else as_rational(d)
     bundle = LineBundleOnPn(d)
     m = spec.r + 1
-    factor = normal.dual().twist_by(bundle).total_chern * bundle.chern(
-        spec.n, spec.r + 1 - spec.n
-    )
+    factor = normal.dual().twist_by(bundle).total_chern * bundle.chern(spec.n, m - spec.n)
     twisted_polar = total_polar_class(spec).dual(m).twist(bundle, m)
     return spec.fundamental_class + factor.cap(twisted_polar)
 
@@ -419,8 +398,6 @@ def solver_lhs(c_mather: GradedClass, c_fulton: GradedClass, d) -> GradedClass:
     """(1 + X) cap (c_Ma - c_F): the singular correction term that the
     invariant solver equates with ((Eu-chi) + (Eu-1)X) . (c(TY') cap [Y']),
     one multiplication by (1 + d*H) in the linear-factor kernel."""
-    if c_mather.ambient_dim != c_fulton.ambient_dim:
-        raise DimensionMismatchError("Mather and Fulton classes disagree on P^n")
     return (c_mather - c_fulton).mul_linear(1, d)
 
 
@@ -436,7 +413,9 @@ def solve_invariants(
     non-degenerate.  Returns (eu, chi).
 
     Solved on integers: with d = p/q and c_y, lhs over their common
-    denominators dy, dl, every row is scaled by q*dy*dl.
+    denominators dy, dl, every row is scaled by q*dy*dl.  The pivot pair is
+    the first row with a nonzero (u, v) part and the first later row
+    independent of it: one determinant per row at most.
     """
     if lhs.ambient_dim != c_y.ambient_dim:
         raise DimensionMismatchError("solver inputs disagree on P^n")
@@ -450,22 +429,16 @@ def solve_invariants(
         for k, (y, c) in enumerate(zip(ys, ls))
     ]
 
-    pivot = None
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            det = rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
-            if det != 0:
-                pivot = (i, j, det)
-                break
-        if pivot:
-            break
-    if pivot is None:
+    first = next((row for row in rows if row[0] or row[1]), None)
+    second = first and next((row for row in rows if first[0] * row[1] - row[0] * first[1]), None)
+    if second is None:
         raise UnderdeterminedSystemError(
             "invariant system has rank < 2 (need d != 0 and dim Y' > 0)"
         )
-    i, j, det = pivot
-    u_det = rows[i][2] * rows[j][1] - rows[j][2] * rows[i][1]  # Cramer's rule
-    v_det = rows[i][0] * rows[j][2] - rows[j][0] * rows[i][2]
+    (a1, b1, c1), (a2, b2, c2) = first, second
+    det = a1 * b2 - a2 * b1
+    u_det = c1 * b2 - c2 * b1  # Cramer's rule
+    v_det = a1 * c2 - a2 * c1
     for a, b, c in rows:
         if a * u_det + b * v_det != c * det:
             raise InconsistentSystemError(

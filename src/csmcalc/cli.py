@@ -32,19 +32,19 @@ _SCENARIO_NAMES = ("cone-over-nodal-curve", "smooth-hypersurface", "tangent-deve
 
 def _load_source(value: str) -> dict:
     """Resolve an input source: a file path, '-' for stdin, or inline JSON."""
-    if value == "-":
-        text = sys.stdin.read()
-    elif value.lstrip().startswith("{"):
-        text = value
-    else:
-        try:
+    try:
+        if value == "-":
+            text = sys.stdin.read()
+        elif value.lstrip().startswith("{"):
+            text = value
+        else:
             with open(value, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise InputParseError(f"cannot read {value!r}: {exc}") from exc
-    try:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or bytes that are not UTF-8
+        raise InputParseError(f"cannot read {value!r}: {exc}") from exc
+    try:  # JSONDecodeError, an int past the digit limit, or nesting past the recursion limit
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise InputParseError(f"bad JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputParseError("top-level JSON value must be an object")

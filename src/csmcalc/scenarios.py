@@ -162,10 +162,6 @@ def _interpolate_quadratic(y0, y1, yh):
     return (y0, a1, a2)
 
 
-def _eval_poly(coeffs, alpha):
-    return sum(c * alpha**k for k, c in enumerate(coeffs))
-
-
 def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
     """The cone in P^3 over a degree-d plane curve with exactly one node.
 
@@ -215,20 +211,17 @@ def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
             f"alpha_poly_codim_{codim}", engine_poly[codim], expected, "published"
         )
 
+    def reconstructed(alpha) -> GradedClass:  # the class the quadratics give at alpha
+        return GradedClass(n, [sum(c * alpha**i for i, c in enumerate(p)) for p in engine_poly])
+
     # the reconstructed quadratics are exact: a fourth weight agrees
     extra = Fraction(1, 3)
-    reconstructed = GradedClass(
-        n, tuple(_eval_poly(engine_poly[k], extra) for k in range(n + 1))
+    report.check(
+        "engine_matches_poly_at_extra_alpha", engine(extra), reconstructed(extra), "derived"
     )
-    report.check("engine_matches_poly_at_extra_alpha", engine(extra), reconstructed, "derived")
 
     sweep = [Fraction(0), Fraction(1), half, Fraction(-1), Fraction(2), Fraction(3, 7)]
-    mismatches = [
-        format_rational(a)
-        for a in sweep
-        if engine(a)
-        != GradedClass(n, tuple(_eval_poly(engine_poly[k], a) for k in range(n + 1)))
-    ]
+    mismatches = [format_rational(a) for a in sweep if engine(a) != reconstructed(a)]
     report.check("alpha_sweep_consistent", {"mismatched_alphas": mismatches},
                  {"mismatched_alphas": []}, "derived")
 

@@ -21,6 +21,7 @@ from csmcalc.errors import (
     DegenerateInvariantsError,
     DimensionMismatchError,
     InconsistentSystemError,
+    InputParseError,
     UnderdeterminedSystemError,
     ValidationError,
 )
@@ -150,6 +151,14 @@ class TestHypersurfaceSpecValidation:
     def test_json_round_trip(self):
         for spec in (TD, TWISTED_CUBIC):
             assert HypersurfaceSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("key", ["01", "\u0661", "001"])
+    def test_repeated_polar_index_rejected(self, key):
+        # int() reads each of these keys as 1, which "1" already names
+        data = TD.to_json()
+        data["polar"][key] = C(3, 0, 0, 5, 0).to_json()
+        with pytest.raises(InputParseError, match="repeats polar index 1"):
+            HypersurfaceSpec.from_json(data)
 
 
 def _reference_total_polar(spec):
@@ -324,6 +333,12 @@ class TestCsmRoutes:
         assert expected == C(3, 0, 1, 3, 3)
         for chi, eu in [(F(0), F(2)), (F(5), F(-3))]:
             assert cc.csm_from_polar(plane, InvariantData(chi, eu)) == expected
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=ALL_SPEC_IDS)
+    def test_polar_route_explicit_projective_ambient_is_default(self, spec):
+        explicit = HypersurfaceSpec(spec.n, spec.r, spec.d, spec.polar, tangent_chern(spec.n))
+        for inv in (InvariantData(F(-1), F(2)), InvariantData(F(7, 3), F(-2, 5))):
+            assert cc.csm_from_polar(explicit, inv) == cc.csm_from_polar(spec, inv)
 
     def test_polar_route_twisted_cubic_with_quadric_ambient(self):
         # realize the twisted cubic as a divisor on a smooth quadric surface:
@@ -530,6 +545,25 @@ class TestSegreFromPolar:
     def test_normal_must_be_bundle_data(self, normal):
         with pytest.raises(ValidationError):
             cc.segre_from_polar(TD, normal)
+
+
+# Routes whose two operands must live on one P^n; the class sum or
+# difference inside each one raises on a mismatch.
+MISMATCHED_ROUTES = {
+    "interpolated_class": lambda m, n: cc.interpolated_class(
+        cc.fulton_class(m, 4), cc.fulton_class(n, 4), 4, F(1, 3)
+    ),
+    "solver_lhs": lambda m, n: cc.solver_lhs(cc.fulton_class(m, 4), cc.fulton_class(n, 4), 4),
+    "mather_from_segre": lambda m, n: cc.mather_from_segre(GradedClass.single(m, 2, 9), n, 4),
+    "csm_from_segre": lambda m, n: cc.csm_from_segre(GradedClass.single(m, 2, 6), n, 4),
+}
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("route", MISMATCHED_ROUTES.values(), ids=MISMATCHED_ROUTES.keys())
+def test_route_operands_from_different_pn_rejected(route, m, n):
+    with pytest.raises(DimensionMismatchError):
+        route(m, n)
 
 
 class TestSolverLhs:

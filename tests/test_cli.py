@@ -377,6 +377,42 @@ class TestExitCodes:
         assert code == 2
         assert "is not a polar index" in err
 
+    def test_repeated_polar_index_is_parse_error(self, capsys):
+        # "01" and "\u0661" are polar index 1 again; neither may overwrite it
+        for key in ("01", "\u0661"):
+            bad = json.loads(SPEC_JSON)
+            bad["polar"][key] = {"ambient_dim": 3, "coeffs_by_codim": ["0", "0", "5", "0"]}
+            code, out, err = invoke(capsys, "polar-total", "--spec", json.dumps(bad))
+            assert (code, out) == (2, "")
+            assert "repeats polar index 1" in err
+
+    def test_overlong_polar_key_is_parse_error(self, capsys):
+        # past the interpreter's 4,300-digit limit, int() of the key raises ValueError
+        bad = json.loads(SPEC_JSON)
+        bad["polar"]["1" * 5000] = bad["polar"].pop("1")
+        code, out, err = invoke(capsys, "polar-total", "--spec", json.dumps(bad))
+        assert (code, out) == (2, "")
+        assert "rational literal too long" in err
+
+    def test_input_that_is_not_utf8_is_parse_error(self, tmp_path, monkeypatch, capsys):
+        raw = SPEC_JSON.encode().replace(b'"r"', b'"r\xff"')
+        path = tmp_path / "spec.json"
+        path.write_bytes(raw)
+        code, out, err = invoke(capsys, "polar-total", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert "cannot read" in err and "can't decode byte 0xff" in err
+        # stdin as a UTF-8 locale opens it: strict decoding
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        code, out, err = invoke(capsys, "polar-total", "--spec", "-")
+        assert (code, out) == (2, "")
+        assert "cannot read '-'" in err and "can't decode byte 0xff" in err
+
+    def test_deeply_nested_json_is_parse_error(self, capsys):
+        spec = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        code, out, err = invoke(capsys, "polar-total", "--spec", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad JSON: ")
+
     def test_missing_input_flag(self, capsys):
         code, _, _ = invoke(capsys, "csm", "--spec", SPEC_JSON)
         assert code == 2  # no invariants given
