@@ -41,13 +41,13 @@ from .chow import (
     HSeries,
     LineBundleOnPn,
     as_rational,
-    format_rational,
     parse_rational,
     tangent_chern,
     _Value,
     _alternate,
     _check_int,
     _check_keys,
+    _encode,
     _set,
 )
 from .errors import (
@@ -81,7 +81,7 @@ class InvariantData(_Value):
         self._init(chi, eu, (1 - eu) / (chi - eu), (chi - 1) / (chi - eu))
 
     def to_json(self) -> dict:
-        return {f: format_rational(getattr(self, f)) for f in self._fields}
+        return _encode({f: getattr(self, f) for f in self._fields})
 
     @classmethod
     def from_json(cls, data) -> "InvariantData":
@@ -124,7 +124,7 @@ class BundleData(_Value):
         return BundleData(e, HSeries._reduce(n, low._nums, low._den))
 
     def to_json(self) -> dict:
-        return {"rank": self.rank, "total_chern": self.total_chern.to_json()}
+        return _encode({"rank": self.rank, "total_chern": self.total_chern})
 
     @classmethod
     def from_json(cls, data) -> "BundleData":
@@ -192,19 +192,11 @@ class HypersurfaceSpec(_Value):
         return self.polar[0]
 
     def to_json(self) -> dict:
-        data = {
-            "n": self.n,
-            "r": self.r,
-            "d": format_rational(self.d),
-            "polar": {
-                str(k): cls.to_json()
-                for k, cls in enumerate(self.polar)
-                if not cls.is_zero()
-            },
-        }
+        polar = {str(k): cls for k, cls in enumerate(self.polar) if not cls.is_zero()}
+        data = {"n": self.n, "r": self.r, "d": self.d, "polar": polar}
         if self.ambient_tangent is not None:
-            data["ambient_tangent"] = self.ambient_tangent.to_json()
-        return data
+            data["ambient_tangent"] = self.ambient_tangent
+        return _encode(data)
 
     @classmethod
     def from_json(cls, data) -> "HypersurfaceSpec":

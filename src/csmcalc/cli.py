@@ -12,7 +12,8 @@ compute function returning ``(inputs, results)`` and the arguments.  One
 dispatcher loads ``--spec`` where a subcommand takes it (passing it in
 and echoing it first in ``inputs``) and prints the results as table
 lines or JSON; ``run-scenario`` prints its report itself.  Integer flags
-take the wire syntax ``[+-]?\\d+``: ``1_0`` is a parse error.
+take the wire syntax ``[+-]?\\d+``: ``1_0`` is a parse error.  Standard
+input (``-``) feeds one input flag only.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ import sys
 
 from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
-from .chow import _RATIONAL_RE, GradedClass, _encode, _render, parse_rational
+from .chow import GradedClass, _encode, _render, parse_rational
 from .errors import INTERNAL_ERROR_EXIT, CharClassError, InputParseError, ValidationError
 
 # sorted(scenarios.SCENARIOS), spelled out so that --help needs no scenarios import
 _SCENARIO_NAMES = ("cone-over-nodal-curve", "smooth-hypersurface", "tangent-developable")
+# the flags _load_source reads, by dest: "-" (stdin) may feed one of them only
+_SOURCES = ("spec", "invariants", "normal", "segre", "lhs", "cy")
 
 
 def _load_source(value: str) -> dict:
@@ -52,15 +55,15 @@ def _load_source(value: str) -> dict:
 
 
 def _wire_int(value: str) -> int:
-    """argparse type of the integer flags: the wire literal without "/q".
-    It raises ArgumentTypeError, which argparse turns into exit 2 with the
-    message int would give; a CharClassError would escape parse_args."""
-    match = _RATIONAL_RE.fullmatch(value.strip())
-    if match and match[2] is None:
-        try:
-            return int(match[1])
-        except ValueError:  # past the interpreter's int-string digit limit
-            pass
+    """argparse type of the integer flags: a literal with no "/" that
+    parse_rational reads, the rule of _parse_params.  It raises
+    ArgumentTypeError, which argparse turns into exit 2 with the message
+    int would give; a CharClassError would escape parse_args."""
+    try:
+        if "/" not in value:
+            return int(parse_rational(value))
+    except InputParseError:  # not a literal, or past the int-string digit limit
+        pass
     raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
 
 
@@ -192,6 +195,10 @@ def _dispatch(args) -> int:
     """Run the parsed subcommand and print its results."""
     if args.subcommand == "run-scenario":  # a report is not a results dict: it prints itself
         return args.compute(args)
+    from_stdin = [f"--{f}" for f in _SOURCES if getattr(args, f, None) == "-"]
+    if len(from_stdin) > 1:  # checked before any read: the first would drain it
+        flags = ", ".join(from_stdin)
+        raise InputParseError(f"standard input (-) can feed one flag only, got it for {flags}")
     if "spec" in args:
         spec = HypersurfaceSpec.from_json(_load_source(args.spec))
         inputs, results = args.compute(args, spec)

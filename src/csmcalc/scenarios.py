@@ -58,21 +58,14 @@ class ScenarioReport(_Value):
         )
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "inputs": _encode(self.inputs),
-            "entries": [
-                {
-                    "name": e.name,
-                    "status": "pass" if e.passed else "fail",
-                    "provenance": e.provenance,
-                    "computed": _encode(e.computed),
-                    "expected": _encode(e.expected),
-                }
-                for e in self.entries
-            ],
-        }
+        entries = [
+            {"name": e.name, "status": "pass" if e.passed else "fail",
+             "provenance": e.provenance, "computed": e.computed, "expected": e.expected}
+            for e in self.entries
+        ]
+        status = "pass" if self.passed else "fail"
+        report = {"name": self.name, "status": status, "inputs": self.inputs, "entries": entries}
+        return _encode(report)
 
     def render_table(self) -> str:
         lines = [f"scenario {self.name}: {'PASS' if self.passed else 'FAIL'}"]
@@ -241,18 +234,11 @@ def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
     slope = engine_poly[2][1]
     candidate = (csm.coeffs[2] - engine_poly[2][0]) / slope
     report.check("unique_candidate_alpha", candidate, half, "derived")
+    codim3 = {"codim3_at_candidate": athalf.coeffs[3], "codim3_csm": csm.coeffs[3]}
     report.check(
         "no_alpha_matches_csm",
-        {
-            "codim3_at_candidate": athalf.coeffs[3],
-            "codim3_csm": csm.coeffs[3],
-            "alpha_exists": athalf.coeffs[3] == csm.coeffs[3],
-        },
-        {
-            "codim3_at_candidate": athalf.coeffs[3],
-            "codim3_csm": csm.coeffs[3],
-            "alpha_exists": False,
-        },
+        {**codim3, "alpha_exists": athalf.coeffs[3] == csm.coeffs[3]},
+        {**codim3, "alpha_exists": False},
         "published",
     )
     return report

@@ -6,6 +6,7 @@ and nodal-cone inputs carry published answers.
 """
 
 import copy
+import json
 import pickle
 import random
 from fractions import Fraction as F
@@ -151,6 +152,20 @@ class TestHypersurfaceSpecValidation:
     def test_json_round_trip(self):
         for spec in (TD, TWISTED_CUBIC):
             assert HypersurfaceSpec.from_json(spec.to_json()) == spec
+
+    def test_json_with_ambient_tangent_is_pinned(self):
+        # the zero [P_1] is left out; d and the tangent series keep their wire form
+        spec = HypersurfaceSpec(
+            3, 2, F(4, 3), {0: C(3, 0, 3, 0, 0), 2: C(3, 0, 0, 0, F(-4, 7))},
+            S(3, 1, 2, F(5, 2), 0),
+        )
+        assert json.dumps(spec.to_json()) == (
+            '{"n": 3, "r": 2, "d": "4/3", "polar": {'
+            '"0": {"ambient_dim": 3, "coeffs_by_codim": ["0", "3", "0", "0"]}, '
+            '"2": {"ambient_dim": 3, "coeffs_by_codim": ["0", "0", "0", "-4/7"]}}, '
+            '"ambient_tangent": {"ambient_dim": 3, "coeffs_by_degree": ["1", "2", "5/2", "0"]}}'
+        )
+        assert HypersurfaceSpec.from_json(spec.to_json()) == spec
 
     @pytest.mark.parametrize("key", ["01", "\u0661", "001"])
     def test_repeated_polar_index_rejected(self, key):

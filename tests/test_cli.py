@@ -172,6 +172,14 @@ class TestJsonOutputs:
             "chi": "-1", "eu": "2", "rho": "1/3", "sigma": "2/3"
         }
 
+    def test_spec_echo_keeps_ambient_tangent(self, capsys):
+        spec = json.loads(SPEC_JSON)
+        spec["ambient_tangent"] = {"ambient_dim": 3, "coeffs_by_degree": ["1", "3", "5/2", "-7/3"]}
+        text = json.dumps(spec)
+        code, out, _ = invoke(capsys, "csm-polar", "--spec", text, "--chi=-1", "--eu=2",
+                              "--format", "json")
+        assert code == 0
+        assert json.dumps(json.loads(out)["inputs"]["spec"]) == text
 
     def test_multiplicities_echoes_parsed_rationals(self, capsys):
         code, out, _ = invoke(
@@ -233,6 +241,31 @@ class TestScenarioCommand:
         )
         assert invoke(capsys, "fulton", "--n", "2.0", "--d", "4")[0] == 2
         assert invoke(capsys, "fulton", "--n", "7" * 5000, "--d", "4")[0] == 2
+
+    def test_integer_flags_strip_spaces_but_take_no_slash(self, capsys):
+        assert invoke(capsys, "fulton", "--n", " 3 ", "--d", "4")[:2] == (
+            0, "c_fulton = 4[P^2] + 24[P^0]\n"
+        )
+        code, out, err = invoke(capsys, "fulton", "--n", "3/1", "--d", "4")
+        assert (code, out) == (2, "")
+        assert "invalid int value: '3/1'" in err
+
+    def test_table_text_is_pinned(self, capsys):
+        code, out, _ = invoke(capsys, "run-scenario", "cone-over-nodal-curve", "--param", "d=5")
+        assert code == 0
+        assert out == "\n".join([
+            "scenario cone-over-nodal-curve: PASS",
+            "  [pass] alpha_poly_codim_1                  [published]  [5, 0, 0]",
+            "  [pass] alpha_poly_codim_2                  [published]  [-3, -2, 0]",
+            "  [pass] alpha_poly_codim_3                  [published]  [-21, 66, 10]",
+            "  [pass] engine_matches_poly_at_extra_alpha  [derived]  "
+            "5[P^2] - 11/3[P^1] + 19/9[P^0]",
+            "  [pass] alpha_sweep_consistent              [derived]  {mismatched_alphas: []}",
+            "  [pass] csm_codim2_matches_at_alpha_half    [published]  -4",
+            "  [pass] unique_candidate_alpha              [derived]  1/2",
+            "  [pass] no_alpha_matches_csm                [published]  "
+            "{codim3_at_candidate: 29/2, codim3_csm: -8, alpha_exists: False}",
+        ]) + "\n"
 
     def test_help_names_every_scenario(self, capsys):
         assert cli._SCENARIO_NAMES == tuple(sorted(scenarios.SCENARIOS))
@@ -412,6 +445,49 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "polar-total", "--spec", spec)
         assert (code, out) == (2, "")
         assert err.startswith("error: bad JSON: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["csm", "--spec", "-", "--invariants", "-"],
+        ["solve-invariants", "--lhs", "-", "--cy", "-", "--d", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_stdin_given_to_two_flags_is_parse_error(self, monkeypatch, capsys, argv):
+        stdin = io.StringIO(SPEC_JSON)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "standard input" in err
+        assert stdin.tell() == 0  # refused before any source was read
+
+    def test_polar_entry_that_is_an_array_is_parse_error(self, capsys):
+        bad = json.loads(SPEC_JSON)
+        bad["polar"]["1"] = ["0", "0", "3", "0"]
+        code, out, err = invoke(capsys, "polar-total", "--spec", json.dumps(bad))
+        assert (code, out) == (2, "")
+        assert "graded class must be a JSON object" in err
+
+    def test_polar_that_is_an_array_is_parse_error(self, capsys):
+        bad = {**json.loads(SPEC_JSON), "polar": [1]}
+        code, out, err = invoke(capsys, "polar-total", "--spec", json.dumps(bad))
+        assert (code, out) == (2, "")
+        assert "polar must be an object" in err
+
+    def test_spec_file_holding_an_array_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(f"[{SPEC_JSON}]")
+        code, out, err = invoke(capsys, "polar-total", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert "top-level JSON value must be an object" in err
+
+    def test_normal_bundle_on_another_pn_is_dimension_error(self, capsys):
+        normal = {
+            "rank": 1,
+            "total_chern": {"ambient_dim": 4, "coeffs_by_degree": ["1", "4", "0", "0", "0"]},
+        }
+        code, out, err = invoke(
+            capsys, "segre-polar", "--spec", SPEC_JSON, "--normal", json.dumps(normal)
+        )
+        assert (code, out) == (3, "")
+        assert "normal bundle series has the wrong ambient dimension" in err
 
     def test_missing_input_flag(self, capsys):
         code, _, _ = invoke(capsys, "csm", "--spec", SPEC_JSON)

@@ -1,6 +1,7 @@
 """The shipped worked examples and the report machinery."""
 
 import copy
+import json
 import pickle
 from fractions import Fraction as F
 
@@ -117,6 +118,36 @@ class TestReportMachinery:
         }
         table = report.render_table()
         assert "7/2" in table and "(expected 2)" in table
+
+    def test_json_of_every_entry_kind_is_pinned(self):
+        report = ScenarioReport("demo", {"n": 3, "d": F(4, 3)}, [])
+        report.check("fraction", F(-7, 2), F(-7, 2), "derived")
+        report.check(
+            "class", GradedClass.from_coeffs(2, [0, F(1, 3), -2]), GradedClass.zero(2), "published"
+        )
+        report.check("tuple", (F(1), F(0), F(2, 5)), (F(1), F(0), F(2, 5)), "derived")
+        flags = {"codim3": F(29, 2), "alpha_exists": False}
+        report.check("dict", flags, {**flags, "alpha_exists": True}, "trivial")
+        expected = {
+            "name": "demo",
+            "status": "fail",
+            "inputs": {"n": 3, "d": "4/3"},
+            "entries": [
+                {"name": "fraction", "status": "pass", "provenance": "derived",
+                 "computed": "-7/2", "expected": "-7/2"},
+                {"name": "class", "status": "fail", "provenance": "published",
+                 "computed": {"ambient_dim": 2, "coeffs_by_codim": ["0", "1/3", "-2"]},
+                 "expected": {"ambient_dim": 2, "coeffs_by_codim": ["0", "0", "0"]}},
+                {"name": "tuple", "status": "pass", "provenance": "derived",
+                 "computed": ["1", "0", "2/5"], "expected": ["1", "0", "2/5"]},
+                {"name": "dict", "status": "fail", "provenance": "trivial",
+                 "computed": {"codim3": "29/2", "alpha_exists": False},
+                 "expected": {"codim3": "29/2", "alpha_exists": True}},
+            ],
+        }
+        data = report.to_json()
+        assert data == expected
+        assert json.dumps(data) == json.dumps(expected)  # the key order too
 
     def test_unknown_provenance_rejected(self):
         report = ScenarioReport("demo", {}, [])
