@@ -33,8 +33,10 @@ equations here; they enter as user inputs pushed forward to P^n.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property
+from math import comb
 
 from .chow import (
     GradedClass,
@@ -48,6 +50,7 @@ from .chow import (
     _check_int,
     _check_keys,
     _encode,
+    _numerators,
     _set,
 )
 from .errors import (
@@ -133,6 +136,19 @@ class BundleData(_Value):
         return cls(rank, HSeries.from_json(data["total_chern"]))
 
 
+def _polar_entries(polar):  # (index, ambient_dim, nonzero entries) per GradedClass given
+    try:
+        items = polar if isinstance(polar, dict) else dict(enumerate(polar))
+    except TypeError:
+        kind = type(polar).__name__
+        raise ValidationError(f"polar must be a dict or a sequence, got {kind}") from None
+    for k, p in items.items():
+        _check_int(k, "polar index")
+        if not isinstance(p, GradedClass):
+            raise ValidationError(f"polar class {k} must be a GradedClass, got {type(p).__name__}")
+        yield k, p.ambient_dim, {i: Fraction(x, p._den) for i, x in enumerate(p._nums) if x}
+
+
 class HypersurfaceSpec(_Value):
     """Polar-class data for a dimension-r subvariety X of P^n.
 
@@ -143,39 +159,30 @@ class HypersurfaceSpec(_Value):
     missing entries default to zero, and polar[0] is the fundamental
     class [X].  ambient_tangent optionally carries c(TM) restricted to X
     (expressed in H) for a hypersurface ambient M other than P^n; it
-    defaults to c(TP^n).
+    defaults to c(TP^n).  The spec stores (-1)^k T_k for [P_k] = T_k/den
+    over the least common den, and builds ``polar`` on first read.
     """
 
     _fields = ("n", "r", "d", "polar", "ambient_tangent")
 
     def __init__(self, n, r, d, polar, ambient_tangent=None):
-        _check_int(n, "ambient projective dimension n", low=1)
+        self._fill(n, r, d, _polar_entries(polar), ambient_tangent)
+
+    def _fill(self, n, r, d, entries, ambient_tangent):  # the one check of both constructors
+        if _check_int(n, "ambient projective dimension n", low=1) >= sys.maxsize:
+            raise ValidationError(f"ambient projective dimension n must be below {sys.maxsize}")
         if _check_int(r, "dim X = r") >= n:
             raise ValidationError("need 0 <= r < n for a proper subvariety")
         d = as_rational(d)
-        try:
-            items = polar if isinstance(polar, dict) else dict(enumerate(polar))
-        except TypeError:
-            raise ValidationError(
-                f"polar must be a dict or a sequence, got {type(polar).__name__}"
-            ) from None
-        dense: list[GradedClass] = [GradedClass.zero(n)] * (r + 1)
-        for k, cls in items.items():
-            _check_int(k, "polar index")
-            if not isinstance(cls, GradedClass):
-                raise ValidationError(
-                    f"polar class {k} must be a GradedClass, got {type(cls).__name__}"
-                )
+        values = [0] * (r + 1)
+        for k, m, nonzero in entries:
             if k > r:
                 raise ValidationError(f"polar class index {k} exceeds dim X = {r}")
-            if cls.ambient_dim != n:
-                raise DimensionMismatchError(
-                    f"polar class {k} lives on P^{cls.ambient_dim}, spec declares P^{n}"
-                )
-            expected_codim = n - (r - k)
-            if any(cls._nums[:expected_codim]) or any(cls._nums[expected_codim + 1:]):
+            if m != n:
+                raise DimensionMismatchError(f"polar class {k} lives on P^{m}, spec declares P^{n}")
+            if nonzero.keys() - {n - r + k}:
                 raise ValidationError(f"polar class {k} must be supported in dimension {r - k}")
-            dense[k] = cls
+            values[k] = nonzero.get(n - r + k, 0)
         if ambient_tangent is not None:
             if not isinstance(ambient_tangent, HSeries):
                 raise ValidationError("ambient_tangent must be an HSeries")
@@ -185,14 +192,33 @@ class HypersurfaceSpec(_Value):
                 )
             if ambient_tangent.constant_term != 1:
                 raise ValidationError("ambient_tangent must have constant term 1")
-        self._init(n, r, d, tuple(dense), ambient_tangent)
+        nums, den = _numerators(values)
+        self._init(n, r, d)
+        _set(self, "ambient_tangent", ambient_tangent)
+        _set(self, "_signed", _alternate(nums))
+        _set(self, "_den", den)
+        return self
+
+    def _polar_class(self, k) -> GradedClass:
+        nums = [0] * (self.n + 1)
+        nums[self.n - self.r + k] = (-1) ** k * self._signed[k]
+        return GradedClass._reduce(self.n, nums, self._den)
+
+    @cached_property
+    def polar(self) -> tuple[GradedClass, ...]:
+        return tuple(map(self._polar_class, range(self.r + 1)))
 
     @property
     def fundamental_class(self) -> GradedClass:
-        return self.polar[0]
+        return self._polar_class(0)
+
+    @cached_property
+    def _total_polar(self) -> GradedClass:  # read by total_polar_class
+        gathered = GradedClass._reduce(self.n, (0,) * (self.n - self.r) + self._signed, self._den)
+        return gathered.twist(LineBundleOnPn(Fraction(1)), self.n)
 
     def to_json(self) -> dict:
-        polar = {str(k): cls for k, cls in enumerate(self.polar) if not cls.is_zero()}
+        polar = {str(k): self._polar_class(k) for k, t in enumerate(self._signed) if t}
         data = {"n": self.n, "r": self.r, "d": self.d, "polar": polar}
         if self.ambient_tangent is not None:
             data["ambient_tangent"] = self.ambient_tangent
@@ -200,25 +226,23 @@ class HypersurfaceSpec(_Value):
 
     @classmethod
     def from_json(cls, data) -> "HypersurfaceSpec":
-        _check_keys(
-            data, {"n", "r", "d", "polar"}, optional={"ambient_tangent"}, what="spec"
-        )
+        _check_keys(data, {"n", "r", "d", "polar"}, optional={"ambient_tangent"}, what="spec")
         n = _check_int(data["n"], "n", error=InputParseError)
         r = _check_int(data["r"], "r", error=InputParseError)
         if not isinstance(data["polar"], dict):
             raise InputParseError("polar must be an object keyed by polar index")
-        polar = {}
+        entries = {}
         for key, value in data["polar"].items():
             if not isinstance(key, str) or not key.isdecimal():
                 raise InputParseError(f"polar key {key!r} is not a polar index")
             index = parse_rational(key).numerator  # exit 2 past the int-string digit limit
-            if index in polar:  # "1", "01" and "\u0661" name one index
+            if index in entries:  # "1", "01" and "\u0661" name one index
                 raise InputParseError(f"polar key {key!r} repeats polar index {index}")
-            polar[index] = GradedClass.from_json(value)
-        tangent = None
-        if "ambient_tangent" in data:
-            tangent = HSeries.from_json(data["ambient_tangent"])
-        return cls(n, r, parse_rational(data["d"]), polar, tangent)
+            m, values = GradedClass._wire_list(value)  # parsed to its nonzero entries alone
+            nonzero = {i: x for i, v in enumerate(values) if v != "0" and (x := parse_rational(v))}
+            entries[index] = index, m, nonzero
+        tangent = HSeries.from_json(data["ambient_tangent"]) if "ambient_tangent" in data else None
+        return cls.__new__(cls)._fill(n, r, parse_rational(data["d"]), entries.values(), tangent)
 
 
 def fulton_class(n: int, d) -> GradedClass:
@@ -241,18 +265,9 @@ def total_polar_class(spec: HypersurfaceSpec) -> GradedClass:
     with dual/twist taken relative to P^n.  Both are linear and [P_k]
     lives only in codimension n-r+k, where dual and the outer sign
     multiply it by (-1)^(n-r) * (-1)^(n-r+k) = (-1)^k; so the polar
-    classes are gathered into one class as (-1)^k [P_k] and twisted once.
+    classes are gathered as (-1)^k [P_k] and twisted once, cached on the spec.
     """
-    signed, den = _signed_polar(spec)
-    gathered = GradedClass._reduce(spec.n, [0] * (spec.n - spec.r) + signed, den)
-    return gathered.twist(LineBundleOnPn(Fraction(1)), spec.n)
-
-
-def _signed_polar(spec: HypersurfaceSpec) -> tuple[list[int], int]:
-    """(-1)^k T_k for each [P_k] = T_k/den in codimension n-r+k, over the
-    least common denominator den of the polar classes, and den."""
-    den, at = lcm(*(p._den for p in spec.polar)), spec.n - spec.r
-    return [(-1) ** k * p._nums[at + k] * (den // p._den) for k, p in enumerate(spec.polar)], den
+    return spec._total_polar
 
 
 def mather_from_polar(spec: HypersurfaceSpec) -> GradedClass:
@@ -271,13 +286,12 @@ def mather_double_sum(spec: HypersurfaceSpec) -> GradedClass:
     codimension n-r+j and adds (-1)^j * C(r+1-j, i) * T_j to n-r+j+i.
     """
     n, r = spec.n, spec.r
-    signed, den = _signed_polar(spec)
     out = [0] * (n + 1)
-    for j, t in enumerate(signed):
+    for j, t in enumerate(spec._signed):
         if t:
             for i in range(r + 1 - j):
                 out[n - r + j + i] += comb(r + 1 - j, i) * t
-    return GradedClass._reduce(n, out, den)
+    return GradedClass._reduce(n, out, spec._den)
 
 
 def interpolated_class(

@@ -339,7 +339,8 @@ class _CoeffVector(_Value):
         wire = [_wire(x, self._den) for x in self._nums]
         return {"ambient_dim": self.ambient_dim, self._wire_key: wire}
 
-    def _from_json(cls, data):  # each subclass binds it as a classmethod
+    @classmethod
+    def _wire_list(cls, data) -> tuple[int, list]:  # ambient_dim n and n+1 unparsed literals
         _check_keys(data, {"ambient_dim", cls._wire_key}, what=cls._what)
         n = _check_int(data["ambient_dim"], "ambient_dim", error=InputParseError)
         values = data[cls._wire_key]
@@ -347,6 +348,10 @@ class _CoeffVector(_Value):
             raise InputParseError(
                 f"{cls._wire_key} must list exactly {n + 1} entries for ambient_dim {n}"
             )
+        return n, values
+
+    def _from_json(cls, data):  # each subclass binds it as a classmethod
+        n, values = cls._wire_list(data)
         return cls(n, tuple(map(parse_rational, values)))
 
     def __str__(self):
@@ -497,7 +502,8 @@ class GradedClass(_CoeffVector):
 
         Computed on integers: with lambda = p/q and piece a_k = A_k/den,
         A_k * C(e, i) * p^i * q^(n-i) is added to entry k+i, e = n-k-m,
-        over den * q^n.
+        over den * q^n.  Piece k's binomial row is piece k-1's stepped by Pascal's
+        rule C(e-1, i) = C(e, i) - C(e-1, i-1) if piece k-1 is nonzero, else fresh.
         """
         if not isinstance(bundle, LineBundleOnPn):
             raise ValidationError(
@@ -512,7 +518,12 @@ class GradedClass(_CoeffVector):
             if not num:
                 continue
             # truncated at codimension n: the power is needed mod H^(n+1-k)
-            for i, b in enumerate(_binomials(n - k - m, n + 1 - k)):
+            if k and self._nums[k - 1]:
+                c = 0
+                row = [c := b - c for b in row[:-1]]
+            else:
+                row = _binomials(n - k - m, n + 1 - k)
+            for i, b in enumerate(row):
                 if b:
                     out[k + i] += num * b * scale[i]
         return GradedClass._reduce(n, out, self._den * q**n)

@@ -34,11 +34,11 @@ _SOURCES = ("spec", "invariants", "normal", "segre", "lhs", "cy")
 
 
 def _load_source(value: str) -> dict:
-    """Resolve an input source: a file path, '-' for stdin, or inline JSON."""
+    """Resolve an input source: a file path, '-' for stdin, or inline JSON ('{' or '[' first)."""
     try:
         if value == "-":
             text = sys.stdin.read()
-        elif value.lstrip().startswith("{"):
+        elif value.lstrip().startswith(("{", "[")):
             text = value
         else:
             with open(value, "r", encoding="utf-8") as handle:

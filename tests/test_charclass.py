@@ -9,6 +9,7 @@ import copy
 import json
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 from math import comb
 
@@ -17,7 +18,7 @@ import pytest
 from csmcalc import charclass as cc
 from csmcalc import scenarios
 from csmcalc.charclass import BundleData, HypersurfaceSpec, InvariantData
-from csmcalc.chow import GradedClass, HSeries, LineBundleOnPn, tangent_chern
+from csmcalc.chow import GradedClass, HSeries, LineBundleOnPn, parse_rational, tangent_chern
 from csmcalc.errors import (
     DegenerateInvariantsError,
     DimensionMismatchError,
@@ -174,6 +175,74 @@ class TestHypersurfaceSpecValidation:
         data["polar"][key] = C(3, 0, 0, 5, 0).to_json()
         with pytest.raises(InputParseError, match="repeats polar index 1"):
             HypersurfaceSpec.from_json(data)
+
+
+def _per_class_spec(data):
+    """A spec read from wire JSON through one GradedClass per polar class."""
+    polar = {int(k): GradedClass.from_json(v) for k, v in data["polar"].items()}
+    return HypersurfaceSpec(data["n"], data["r"], parse_rational(data["d"]), polar)
+
+
+def _read_outcome(read, data):
+    try:
+        spec = read(data)
+    except (InputParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return spec, spec.polar, spec.to_json()
+
+
+def _wire_polar(n, **entries):
+    return {"ambient_dim": n, "coeffs_by_codim": [entries.get(f"c{i}", "0") for i in range(n + 1)]}
+
+
+def _wire_specs():
+    p = _wire_polar
+    cases = {
+        "dense": {str(k): p(5, **{f"c{1 + k}": f"{(-1) ** k * (k + 2)}/{k % 3 + 1}"})
+                  for k in range(5)},
+        "sparse": {"0": p(5, c1="3"), "1": p(5, c2="-7/4")},
+        "spellings": {"0": p(5, c0="-0", c1="6/4", c3="0/5", c5="00"),
+                      "2": p(5, c2=0, c3=" 9 ", c4="+0")},
+        "off_support": {"0": p(5, c1="3", c4="2")},
+        "bad_after_off_support": {"0": p(5, c0="1", c1="3"), "1": p(5, c5="x")},
+        "bad_in_same_class": {"0": p(5, c0="1", c1="3", c4="1/0")},
+        "wrong_dim": {"0": p(5, c1="3"), "1": p(4, c2="2")},
+        "too_short": {"0": {"ambient_dim": 5, "coeffs_by_codim": ["0", "3"]}},
+        "beyond_r": {"0": p(5, c1="3"), "5": p(5)},
+        "empty": {},
+    }
+    return {name: {"n": 5, "r": 4, "d": "3/2", "polar": polar} for name, polar in cases.items()}
+
+
+class TestSpecWireParse:
+    """from_json reads each polar class straight to its one entry; it must
+    give what one GradedClass per class gives, value or error."""
+
+    @pytest.mark.parametrize("name", _wire_specs())
+    def test_matches_per_class_parse(self, name):
+        data = _wire_specs()[name]
+        got = _read_outcome(HypersurfaceSpec.from_json, json.loads(json.dumps(data)))
+        assert got == _read_outcome(_per_class_spec, data)
+
+    def test_dense_spec_builds_no_class_and_one_total_polar(self, monkeypatch):
+        data = {"n": 24, "r": 23, "d": "2",
+                "polar": {str(k): _wire_polar(24, **{f"c{1 + k}": str(k + 2)}) for k in range(24)}}
+
+        def forbidden(self):
+            raise AssertionError("parsing a spec built a GradedClass")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedClass, "__post_init__", forbidden)
+            spec = HypersurfaceSpec.from_json(data)
+        assert cc.total_polar_class(spec) is cc.total_polar_class(spec)
+        assert spec.to_json() == data
+
+    @pytest.mark.parametrize("n", [sys.maxsize, 10**400], ids=["maxsize", "10^400"])
+    def test_ambient_dimension_past_maxsize_refused(self, n):
+        with pytest.raises(ValidationError, match="must be below"):
+            HypersurfaceSpec(n, 2, 4, {})
+        with pytest.raises(ValidationError, match="must be below"):
+            HypersurfaceSpec.from_json({"n": n, "r": 2, "d": "4", "polar": {}})
 
 
 def _reference_total_polar(spec):

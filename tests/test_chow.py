@@ -387,6 +387,22 @@ class TestLineBundleKernel:
                     assert got == _reference_twist(a, degree, m)
                     assert all(type(c) is F for c in got)
 
+    @pytest.mark.parametrize("gap", [0, 1, 2])
+    def test_twist_rows_across_zero_pieces(self, gap):
+        # runs of nonzero pieces split by `gap` zero pieces, after leading and
+        # before trailing zeros: rows stepped by Pascal's rule and rows built
+        # afresh after a zero piece must both match the Fraction loop
+        rng = random.Random(gap)
+        for n in (12, 16, 20):
+            runs = [[0, 0], [rng.randint(1, 9), F(-5, 7)], [0] * gap,
+                    [F(3, 4), -2, rng.randint(-9, -1)], [0] * gap, [F(11, 3)]]
+            a = tuple(F(c) for run in runs for c in run)
+            a += (F(0),) * (n + 1 - len(a))
+            for degree in _DEGREES:
+                for m in (n, n - 1, n + 2, 0, -3):  # n + 2: every e = n-k-m is negative
+                    got = GradedClass(n, a).twist(LineBundleOnPn(degree), m).coeffs
+                    assert got == _reference_twist(a, degree, m)
+
     def test_twist_entry_past_digit_limit(self):
         a = list(_operand(random.Random(0), 12, "mixed"))
         a[3] = F(-(10**4400) + 7, 3**5)

@@ -478,6 +478,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "top-level JSON value must be an object" in err
 
+    def test_inline_array_is_read_as_json_not_a_path(self, capsys):
+        code, out, err = invoke(capsys, "polar-total", "--spec", f" [{SPEC_JSON}]")
+        assert (code, out) == (2, "")
+        assert err == "error: top-level JSON value must be an object\n"
+
+    def test_ambient_dimension_past_maxsize_is_validation_error(self, capsys):
+        spec = f'{{"n": {10**400}, "r": 2, "d": "4", "polar": {{}}}}'
+        code, out, err = invoke(capsys, "polar-total", "--spec", spec)
+        assert (code, out) == (3, "")
+        assert "ambient projective dimension n must be below" in err
+
     def test_normal_bundle_on_another_pn_is_dimension_error(self, capsys):
         normal = {
             "rank": 1,
