@@ -50,6 +50,7 @@ from .chow import (
     _check_int,
     _check_keys,
     _encode,
+    _literal,
     _numerators,
     _set,
 )
@@ -136,7 +137,7 @@ class BundleData(_Value):
         return cls(rank, HSeries.from_json(data["total_chern"]))
 
 
-def _polar_entries(polar):  # (index, ambient_dim, nonzero entries) per GradedClass given
+def _polar_entries(polar):  # (index, ambient_dim, numerators, denominator) per GradedClass given
     try:
         items = polar if isinstance(polar, dict) else dict(enumerate(polar))
     except TypeError:
@@ -146,7 +147,7 @@ def _polar_entries(polar):  # (index, ambient_dim, nonzero entries) per GradedCl
         _check_int(k, "polar index")
         if not isinstance(p, GradedClass):
             raise ValidationError(f"polar class {k} must be a GradedClass, got {type(p).__name__}")
-        yield k, p.ambient_dim, {i: Fraction(x, p._den) for i, x in enumerate(p._nums) if x}
+        yield k, p.ambient_dim, p._nums, p._den
 
 
 class HypersurfaceSpec(_Value):
@@ -175,14 +176,15 @@ class HypersurfaceSpec(_Value):
             raise ValidationError("need 0 <= r < n for a proper subvariety")
         d = as_rational(d)
         values = [0] * (r + 1)
-        for k, m, nonzero in entries:
+        for k, m, nums, den in entries:
             if k > r:
                 raise ValidationError(f"polar class index {k} exceeds dim X = {r}")
             if m != n:
                 raise DimensionMismatchError(f"polar class {k} lives on P^{m}, spec declares P^{n}")
-            if nonzero.keys() - {n - r + k}:
+            c = n - r + k
+            if any(nums[:c]) or any(nums[c + 1 :]):
                 raise ValidationError(f"polar class {k} must be supported in dimension {r - k}")
-            values[k] = nonzero.get(n - r + k, 0)
+            values[k] = Fraction(nums[c], den)
         if ambient_tangent is not None:
             if not isinstance(ambient_tangent, HSeries):
                 raise ValidationError("ambient_tangent must be an HSeries")
@@ -235,12 +237,10 @@ class HypersurfaceSpec(_Value):
         for key, value in data["polar"].items():
             if not isinstance(key, str) or not key.isdecimal():
                 raise InputParseError(f"polar key {key!r} is not a polar index")
-            index = parse_rational(key).numerator  # exit 2 past the int-string digit limit
+            index = _literal(key)[0]  # exit 2 past the int-string digit limit
             if index in entries:  # "1", "01" and "\u0661" name one index
                 raise InputParseError(f"polar key {key!r} repeats polar index {index}")
-            m, values = GradedClass._wire_list(value)  # parsed to its nonzero entries alone
-            nonzero = {i: x for i, v in enumerate(values) if v != "0" and (x := parse_rational(v))}
-            entries[index] = index, m, nonzero
+            entries[index] = index, *GradedClass._wire_nums(value)
         tangent = HSeries.from_json(data["ambient_tangent"]) if "ambient_tangent" in data else None
         return cls.__new__(cls)._fill(n, r, parse_rational(data["d"]), entries.values(), tangent)
 
@@ -382,7 +382,8 @@ def segre_from_polar(
     the dimension r+1 of the nonsingular variety in which X is a
     hypersurface.  For a hypersurface of P^n itself (r = n-1, N = O(d))
     the factor collapses to 1 and the formula reduces to the Pluecker
-    form [X] + dual([P]) twisted by O(d).
+    form [X] + dual([P]) twisted by O(d).  As twist(G, r+1) = c(L)^(n-r-1)
+    cap twist(G, n), the division cancels: the twist is taken relative to n.
     """
     if not isinstance(normal, BundleData):
         raise ValidationError(f"normal must be a BundleData, got {type(normal).__name__}")
@@ -392,12 +393,9 @@ def segre_from_polar(
         )
     if normal.total_chern.ambient_dim != spec.n:
         raise DimensionMismatchError("normal bundle series has the wrong ambient dimension")
-    d = spec.d if d is None else as_rational(d)
-    bundle = LineBundleOnPn(d)
-    m = spec.r + 1
-    factor = normal.dual().twist_by(bundle).total_chern * bundle.chern(spec.n, m - spec.n)
-    twisted_polar = total_polar_class(spec).dual(m).twist(bundle, m)
-    return spec.fundamental_class + factor.cap(twisted_polar)
+    bundle = LineBundleOnPn(spec.d if d is None else d)
+    twisted_polar = total_polar_class(spec).dual(spec.r + 1).twist(bundle)
+    return spec.fundamental_class + normal.dual().twist_by(bundle).total_chern.cap(twisted_polar)
 
 
 def solver_lhs(c_mather: GradedClass, c_fulton: GradedClass, d) -> GradedClass:
@@ -419,9 +417,9 @@ def solve_invariants(
     non-degenerate.  Returns (eu, chi).
 
     Solved on integers: with d = p/q and c_y, lhs over their common
-    denominators dy, dl, every row is scaled by q*dy*dl.  The pivot pair is
-    the first row with a nonzero (u, v) part and the first later row
-    independent of it: one determinant per row at most.
+    denominators dy, dl, every row is scaled by q*dy*dl.  The system is
+    bidiagonal: the first row k0 with c_y[k0] != 0 gives u, row k0+1 gives
+    v, so the rank is 2 exactly when d != 0 and k0 < n.
     """
     if lhs.ambient_dim != c_y.ambient_dim:
         raise DimensionMismatchError("solver inputs disagree on P^n")
@@ -435,15 +433,14 @@ def solve_invariants(
         for k, (y, c) in enumerate(zip(ys, ls))
     ]
 
-    first = next((row for row in rows if row[0] or row[1]), None)
-    second = first and next((row for row in rows if first[0] * row[1] - row[0] * first[1]), None)
-    if second is None:
+    k0 = next((k for k, y in enumerate(ys) if y), len(ys))
+    if not p or k0 >= lhs.ambient_dim:
         raise UnderdeterminedSystemError(
             "invariant system has rank < 2 (need d != 0 and dim Y' > 0)"
         )
-    (a1, b1, c1), (a2, b2, c2) = first, second
-    det = a1 * b2 - a2 * b1
-    u_det = c1 * b2 - c2 * b1  # Cramer's rule
+    (a1, _, c1), (a2, b2, c2) = rows[k0 : k0 + 2]
+    det = a1 * b2
+    u_det = c1 * b2  # u = c1/a1, then v from row k0+1
     v_det = a1 * c2 - a2 * c1
     for a, b, c in rows:
         if a * u_det + b * v_det != c * det:

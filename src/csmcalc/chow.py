@@ -61,31 +61,32 @@ def as_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if _is_int(value):
-        return Fraction(value)
-    if isinstance(value, str):
+    if _is_int(value) or isinstance(value, str):
         return parse_rational(value)
     raise ValidationError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def parse_rational(value) -> Fraction:
-    """Parse the wire form of a rational: the string "p" or "p/q" (or an int)."""
+def _literal(value) -> tuple[int, int]:
+    """The integers (p, q), q > 0, of a wire rational "p" or "p/q" (or an int), unreduced."""
     if not isinstance(value, str):
         if _is_int(value):
-            return Fraction(value)
+            return value, 1
         raise InputParseError(
             f"rational must be a string 'p' or 'p/q', got {type(value).__name__}"
         )
-    if value == "0":
-        return _ZERO
     match = _RATIONAL_RE.fullmatch(value.strip())
     if not match:
         raise InputParseError(f"bad rational literal {value!r}")
     num, den = match.groups()
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return int(num), int(den) if den else 1
     except ValueError as exc:  # past the interpreter's int-string digit limit
         raise InputParseError(f"rational literal too long: {exc}") from exc
+
+
+def parse_rational(value) -> Fraction:
+    """Parse the wire form of a rational: the string "p" or "p/q" (or an int)."""
+    return _ZERO if value == "0" else Fraction(*_literal(value))
 
 
 _CHUNK_DIGITS = 600  # below 640, the least int-string limit Python allows
@@ -260,9 +261,7 @@ class _CoeffVector(_Value):
 
     def __init__(self, ambient_dim, coeffs):
         n = _check_int(ambient_dim, "ambient_dim")
-        coeffs = tuple(coeffs)
-        if not set(map(type, coeffs)) <= {Fraction}:  # one C-level pass
-            coeffs = tuple(map(as_rational, coeffs))
+        coeffs = tuple(map(as_rational, coeffs))
         nums, den = _numerators(coeffs)
         _set(self, "coeffs", coeffs)
         self._fill(n, tuple(nums), den)
@@ -336,11 +335,11 @@ class _CoeffVector(_Value):
         return self._reduce(self.ambient_dim, nums, self._den * s.denominator)
 
     def _to_json(self) -> dict:
-        wire = [_wire(x, self._den) for x in self._nums]
+        wire = [_wire(x, self._den) if x else "0" for x in self._nums]
         return {"ambient_dim": self.ambient_dim, self._wire_key: wire}
 
     @classmethod
-    def _wire_list(cls, data) -> tuple[int, list]:  # ambient_dim n and n+1 unparsed literals
+    def _wire_nums(cls, data) -> tuple[int, list, int]:  # ambient_dim n, n+1 numerators, lcm
         _check_keys(data, {"ambient_dim", cls._wire_key}, what=cls._what)
         n = _check_int(data["ambient_dim"], "ambient_dim", error=InputParseError)
         values = data[cls._wire_key]
@@ -348,11 +347,15 @@ class _CoeffVector(_Value):
             raise InputParseError(
                 f"{cls._wire_key} must list exactly {n + 1} entries for ambient_dim {n}"
             )
-        return n, values
+        read = {i: _literal(v) for i, v in enumerate(values) if v != "0"}  # "0" unparsed
+        den = lcm(*[q for _, q in read.values()])
+        nums = [0] * (n + 1)
+        for i, (p, q) in read.items():
+            nums[i] = p * (den // q)
+        return n, nums, den
 
     def _from_json(cls, data):  # each subclass binds it as a classmethod
-        n, values = cls._wire_list(data)
-        return cls(n, tuple(map(parse_rational, values)))
+        return cls._reduce(*cls._wire_nums(data))
 
     def __str__(self):
         parts = [(c, self._term(k, abs(c))) for k, c in enumerate(self.coeffs) if c]
@@ -405,14 +408,13 @@ class HSeries(_CoeffVector):
         if a0 == 0:
             raise NonUnitError("cannot invert a series with zero constant term")
         n = self.ambient_dim
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / a0
+        out = [1 / a0]
         for k in range(1, n + 1):
             acc = Fraction(0)
             for i in range(1, k + 1):
                 if self.coeffs[i]:
                     acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / a0
+            out.append(-acc / a0)
         return HSeries(n, tuple(out))
 
     def __pow__(self, exponent: int) -> "HSeries":

@@ -107,6 +107,14 @@ class TestHypersurfaceSpecValidation:
         with pytest.raises(ValidationError):
             HypersurfaceSpec(3, 2, F(4), {1: GradedClass.single(3, 1, 3)})
 
+    def test_wrong_support_message(self):
+        message = r"^polar class 1 must be supported in dimension 1$"
+        with pytest.raises(ValidationError, match=message):
+            HypersurfaceSpec(3, 2, F(4), {1: GradedClass.single(3, 1, 3)})
+        with pytest.raises(ValidationError, match=message):
+            HypersurfaceSpec.from_json({"n": 3, "r": 2, "d": "4", "polar": {
+                "1": {"ambient_dim": 3, "coeffs_by_codim": ["0", "0", "3", "1/2"]}}})
+
     def test_wrong_ambient_rejected(self):
         with pytest.raises(DimensionMismatchError):
             HypersurfaceSpec(3, 2, F(4), {0: GradedClass.single(2, 1, 4)})
@@ -604,6 +612,10 @@ class TestSegreFromPolar:
     def test_rank_mismatch(self):
         with pytest.raises(ValidationError):
             cc.segre_from_polar(TD, BundleData(2, HSeries.one(3)))
+
+    def test_rank_mismatch_message(self):
+        with pytest.raises(ValidationError, match=r"^normal bundle rank 1 != codimension 2$"):
+            cc.segre_from_polar(TWISTED_CUBIC, BundleData.line(3, 4))
 
     def test_reduces_to_pluecker_form(self):
         for spec in (TD, CONE3, CONIC):

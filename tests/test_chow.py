@@ -240,6 +240,9 @@ class TestSeriesArithmetic:
         with pytest.raises(NonUnitError):
             S(2, 0, 1) ** -1
 
+    def test_pow_zero_of_a_non_unit_is_one(self):
+        assert S(3, 0, 1, 2) ** 0 == HSeries.one(3)
+
     @pytest.mark.parametrize("exponent", [True, 2.0, "2"])
     def test_pow_needs_integer_exponent(self, exponent):
         with pytest.raises(ValidationError):
@@ -248,6 +251,12 @@ class TestSeriesArithmetic:
     def test_length_validation(self):
         with pytest.raises(ValidationError):
             HSeries(2, (F(1),))
+
+    def test_length_message(self):
+        with pytest.raises(ValidationError, match=r"^series on P\^2 needs 3 coefficients, got 1$"):
+            HSeries(2, (F(1),))
+        with pytest.raises(ValidationError, match=r"^class on P\^1 needs 2 coefficients, got 3$"):
+            GradedClass(1, (F(1), F(2), F(3)))
 
     def test_twin_type_rejected(self):
         with pytest.raises(ValidationError):
@@ -615,6 +624,10 @@ class TestStr:
         assert str(S(2, 1, 0, -1)) == "1 - H^2"
         assert str(S(1, 0, 0)) == "0"
 
+    def test_unit_coefficient_after_the_first(self):
+        assert str(S(2, 1, 1, 1)) == "1 + H + H^2"
+        assert str(C(2, 4, 1, -1)) == "4[P^2] + 1[P^1] - 1[P^0]"
+
     def test_past_digit_limit(self):
         big = "1" + "0" * 5000
         assert str(S(1, 10**5000, -(10**5000))) == f"{big} - {big}H"
@@ -661,6 +674,17 @@ class TestJsonWireForms:
     def test_bad_rational_rejected(self):
         with pytest.raises(InputParseError):
             GradedClass.from_json({"ambient_dim": 0, "coeffs_by_codim": ["1.5"]})
+
+    def test_entries_read_as_the_constructor_reads_them(self):
+        # unreduced, signed, padded, zero and non-ASCII spellings, JSON ints
+        # and mixed denominators give the class the constructor builds
+        values = ["2/4", "-0", "0/5", " 9 ", "\u0663", -7, "0", "+5/10", "-1/6", "10/15"]
+        for cls, key in ((GradedClass, "coeffs_by_codim"), (HSeries, "coeffs_by_degree")):
+            got = cls.from_json({"ambient_dim": len(values) - 1, key: values})
+            assert got == cls(len(values) - 1, [parse_rational(v) for v in values])
+            assert got.to_json()[key] == [
+                "1/2", "0", "0", "9", "3", "-7", "0", "1/2", "-1/6", "2/3"
+            ]
 
 
 HALF = "coeffs=(Fraction(1, 1), Fraction(1, 2), Fraction(0, 1))"
