@@ -33,7 +33,6 @@ equations here; they enter as user inputs pushed forward to P^n.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -47,6 +46,7 @@ from .chow import (
     tangent_chern,
     _Value,
     _alternate,
+    _check_ambient_dim,
     _check_int,
     _check_keys,
     _encode,
@@ -170,8 +170,7 @@ class HypersurfaceSpec(_Value):
         self._fill(n, r, d, _polar_entries(polar), ambient_tangent)
 
     def _fill(self, n, r, d, entries, ambient_tangent):  # the one check of both constructors
-        if _check_int(n, "ambient projective dimension n", low=1) >= sys.maxsize:
-            raise ValidationError(f"ambient projective dimension n must be below {sys.maxsize}")
+        _check_ambient_dim(n, "ambient projective dimension n", low=1)
         if _check_int(r, "dim X = r") >= n:
             raise ValidationError("need 0 <= r < n for a proper subvariety")
         d = as_rational(d)
@@ -219,6 +218,10 @@ class HypersurfaceSpec(_Value):
         gathered = GradedClass._reduce(self.n, (0,) * (self.n - self.r) + self._signed, self._den)
         return gathered.twist(LineBundleOnPn(Fraction(1)), self.n)
 
+    @cached_property
+    def _mather(self) -> GradedClass:  # read by mather_from_polar, so by csm_from_polar
+        return tangent_chern(self.n).cap(self._total_polar)
+
     def to_json(self) -> dict:
         polar = {str(k): self._polar_class(k) for k, t in enumerate(self._signed) if t}
         data = {"n": self.n, "r": self.r, "d": self.d, "polar": polar}
@@ -252,7 +255,7 @@ def fulton_class(n: int, d) -> GradedClass:
     once by (1 + d*H) in the linear-factor kernel; for smooth X this is the
     total Chern class of X, and its degree-zero part is its Euler characteristic.
     """
-    _check_int(n, "n", low=1)
+    _check_ambient_dim(n, "n", low=1)
     d = as_rational(d)
     return tangent_chern(n).cap(GradedClass.single(n, 1, d)).div_linear(d)
 
@@ -271,8 +274,9 @@ def total_polar_class(spec: HypersurfaceSpec) -> GradedClass:
 
 
 def mather_from_polar(spec: HypersurfaceSpec) -> GradedClass:
-    """Chern-Mather class as c(TP^n) cap [P] (Piene)."""
-    return tangent_chern(spec.n).cap(total_polar_class(spec))
+    """Chern-Mather class as c(TP^n) cap [P] (Piene), capped once per spec:
+    cached on the spec, like [P], and read by :func:`csm_from_polar`."""
+    return spec._mather
 
 
 def mather_double_sum(spec: HypersurfaceSpec) -> GradedClass:
@@ -320,16 +324,17 @@ def csm_from_interpolation(
 def csm_from_polar(spec: HypersurfaceSpec, inv: InvariantData) -> GradedClass:
     """CSM class straight from polar data, for every ambient M:
 
-        c_SM = c(TM) cap rho[X]/(1 + rho X) + c(TP^n) cap sigma[P]/(1 + rho X).
+        c_SM = (c(TM) cap rho[X] + sigma c_Ma) / (1 + rho X),
 
-    c(TM) is ``spec.ambient_tangent``, c(TP^n) when it is not given, and X
-    acts as ``spec.d`` times H.  Both caps are taken first, then their sum
-    is divided once by (1 + rho*d*H) in the linear-factor kernel.
+    with c_Ma = c(TP^n) cap [P] the Mather class of :func:`mather_from_polar`,
+    read from the spec rather than capped again.  c(TM) is
+    ``spec.ambient_tangent``, c(TP^n) when it is not given, and X acts as
+    ``spec.d`` times H; the cap with the one-piece rho[X] is O(n), and the
+    sum is divided once by (1 + rho*d*H) in the linear-factor kernel.
     """
-    tangent = tangent_chern(spec.n)
-    virtual = (spec.ambient_tangent or tangent).cap(inv.rho * spec.fundamental_class)
-    milnor = tangent.cap(inv.sigma * total_polar_class(spec))
-    return (virtual + milnor).div_linear(inv.rho * spec.d)
+    tangent = spec.ambient_tangent or tangent_chern(spec.n)
+    virtual = tangent.cap(inv.rho * spec.fundamental_class)
+    return (virtual + mather_from_polar(spec) * inv.sigma).div_linear(inv.rho * spec.d)
 
 
 def segre_ym_to_yx(s_ym: GradedClass, d, inv: InvariantData) -> GradedClass:

@@ -20,6 +20,7 @@ M = P^n itself.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -50,6 +51,14 @@ def _check_int(value, what, low=0, error=ValidationError) -> int:
         raise error(f"{what} must be an integer, got {type(value).__name__}")
     if low is not None and value < low:
         raise error(f"{what} must be >= {low}")
+    return value
+
+
+def _check_ambient_dim(value, what, low=0) -> int:
+    """_check_int for an ambient dimension n, also below sys.maxsize: past it no
+    vector of n + 1 entries can be indexed, and loops of size n never end."""
+    if _check_int(value, what, low) >= sys.maxsize:
+        raise ValidationError(f"{what} must be below {sys.maxsize}")
     return value
 
 
@@ -300,7 +309,7 @@ class _CoeffVector(_Value):
     def from_coeffs(cls, ambient_dim, values):
         """Build from coefficients by index, padding with zeros and
         discarding indices above n."""
-        _check_int(ambient_dim, "ambient_dim")
+        _check_ambient_dim(ambient_dim, "ambient_dim")
         head = tuple(islice(values, ambient_dim + 1))  # coerced by the constructor
         return cls(ambient_dim, head + (_ZERO,) * (ambient_dim + 1 - len(head)))
 
@@ -580,7 +589,7 @@ class LineBundleOnPn(_Value):
         integer power: with degree = p/q, a_i = C(power, i) * p^i / q^i,
         the binomial from its exact integer recurrence (negative powers
         included), all over q^n."""
-        n = _check_int(ambient_dim, "ambient_dim")
+        n = _check_ambient_dim(ambient_dim, "ambient_dim")
         _check_int(power, "power", low=None)
         p, q = self.degree.numerator, self.degree.denominator
         out = [b * p**i * q ** (n - i) for i, b in enumerate(_binomials(power, n + 1))]

@@ -21,7 +21,9 @@ from importlib.resources import files
 
 from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
-from .chow import GradedClass, _Value, _check_int, _encode, _render, format_rational
+from .chow import (
+    GradedClass, _Value, _check_ambient_dim, _check_int, _encode, _render, format_rational,
+)
 from .errors import ValidationError
 
 PROVENANCES = ("published", "derived", "trivial")
@@ -248,7 +250,7 @@ def euler_smooth_hypersurface(n: int, d: int) -> Fraction:
     """Closed-form Euler characteristic of a smooth degree-d hypersurface
     of P^n:  chi = ((1-d)^{n+1} - 1)/d + n + 1.  Independent of the class
     engine; used as an oracle."""
-    _check_int(n, "n", low=1)
+    _check_ambient_dim(n, "n", low=1)
     _check_int(d, "d", low=1)
     return Fraction((1 - d) ** (n + 1) - 1, d) + n + 1
 

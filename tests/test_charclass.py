@@ -87,6 +87,12 @@ class TestFultonClass:
         with pytest.raises(ValidationError, match="must be an integer"):
             cc.fulton_class(n, 2)
 
+    @pytest.mark.usefixtures("no_binomials")
+    @pytest.mark.parametrize("n", [sys.maxsize, 10**400], ids=["maxsize", "10^400"])
+    def test_ambient_dimension_past_maxsize_refused(self, n):
+        with pytest.raises(ValidationError, match=f"^n must be below {sys.maxsize}$"):
+            cc.fulton_class(n, 2)
+
 
 class TestHypersurfaceSpecValidation:
     def test_missing_polar_defaults_to_zero(self):
@@ -328,6 +334,48 @@ FIXTURE_TD = HypersurfaceSpec.from_json(
 )
 ALL_SPECS = [TD, CONE3, CONIC, TWISTED_CUBIC, DENSE_P48, CONE_P120, FIXTURE_TD]
 ALL_SPEC_IDS = ["TD", "CONE3", "CONIC", "TWISTED_CUBIC", "DENSE_P48", "CONE_P120", "FIXTURE_TD"]
+
+
+class TestOneMatherCapPerSpec:
+    """mather_from_polar and csm_from_polar cap c(TP^n) with the dense [P] once
+    per spec, whichever runs first: the Mather class is cached on the spec,
+    and csm_from_polar reads it."""
+
+    INV = InvariantData(F(-3, 2), F(5, 3))
+
+    @staticmethod
+    def _dense_spec(**kw):  # every polar class nonzero, so [P] is dense
+        degrees = [2] + [F((-1) ** k * (k + 2), k % 3 + 1) for k in range(1, 24)]
+        return spec_polar(24, 23, 2, degrees, **kw)
+
+    @pytest.mark.parametrize("order", [("mather", "csm"), ("csm", "mather")],
+                             ids=["mather_first", "csm_first"])
+    def test_one_dense_cap(self, monkeypatch, order):
+        spec, dense = self._dense_spec(), []
+        cap = HSeries.cap
+
+        def counted(series, cls):
+            dense.append(sum(map(bool, cls._nums)) > 1)
+            return cap(series, cls)
+
+        monkeypatch.setattr(HSeries, "cap", counted)
+        routes = {"mather": lambda: cc.mather_from_polar(spec),
+                  "csm": lambda: cc.csm_from_polar(spec, self.INV)}
+        got = {name: routes[name]() for name in order}
+        monkeypatch.undo()
+        assert dense.count(True) == 1
+        assert got["mather"] == cc.mather_double_sum(spec)
+        assert got["csm"] == _reference_csm_from_polar(spec, self.INV)
+
+    def test_mather_class_is_cached(self):
+        spec = self._dense_spec()
+        assert cc.mather_from_polar(spec) is cc.mather_from_polar(spec)
+
+    def test_ambient_tangent_after_the_cached_mather_class(self):
+        quadric_tangent = tangent_chern(24) * LineBundleOnPn(F(2)).chern(24).inverse()
+        spec = self._dense_spec(ambient_tangent=quadric_tangent)
+        assert cc.mather_from_polar(spec) == cc.mather_double_sum(spec)
+        assert cc.csm_from_polar(spec, self.INV) == _reference_csm_from_polar(spec, self.INV)
 
 
 class TestIntegerDoubleSum:

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -420,6 +421,14 @@ class TestLineBundleKernel:
                 got = GradedClass(12, tuple(a)).twist(LineBundleOnPn(degree), m)
                 assert got.coeffs == _reference_twist(a, degree, m)
 
+    def test_twist_by_a_degree_past_float_range(self):
+        # p = 10^200 + 1: every power p^i q^(n-i) must stay an int, since p^4
+        # is past what a float can hold
+        a = (F(0), F(-4), F(-7), F(-10, 3))
+        for degree in (F(10**200 + 1, 3), F(10**200 + 1)):
+            got = GradedClass(3, a).twist(LineBundleOnPn(degree), 3)
+            assert got.coeffs == _reference_twist(a, degree, 3)
+
     def test_chern_matches_fraction_recurrence(self):
         for degree in (F(-5, 3), F(7, 2), F(1, 9), F(-22, 7)):
             for n in range(16):
@@ -427,6 +436,24 @@ class TestLineBundleKernel:
                     got = LineBundleOnPn(degree).chern(n, e).coeffs
                     assert got == _reference_chern(degree, n, e)
                     assert all(type(c) is F for c in got)
+
+
+class TestAmbientDimensionBound:
+    """chern and from_coeffs refuse n >= sys.maxsize before any loop of size
+    n: with the binomial rows disabled, a missed refusal fails at once."""
+
+    @pytest.mark.usefixtures("no_binomials")
+    @pytest.mark.parametrize("n", [sys.maxsize, 10**400], ids=["maxsize", "10^400"])
+    def test_refused(self, n):
+        for build in (
+            lambda: LineBundleOnPn(F(2)).chern(n),
+            lambda: tangent_chern(n),
+            lambda: HSeries.from_coeffs(n, [1]),
+            lambda: GradedClass.from_coeffs(n, [1]),
+            lambda: GradedClass.single(n, 1, 2),
+        ):
+            with pytest.raises(ValidationError, match=f"ambient_dim must be below {sys.maxsize}"):
+                build()
 
 
 class TestLinearFactorKernel:

@@ -489,6 +489,19 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "ambient projective dimension n must be below" in err
 
+    @pytest.mark.usefixtures("no_binomials")
+    @pytest.mark.parametrize("n", [sys.maxsize, 10**400], ids=["maxsize", "10^400"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("fulton", "--n", "{n}", "--d", "2"),
+         ("run-scenario", "smooth-hypersurface", "--param", "n={n}", "--param", "d=2")],
+        ids=["fulton", "smooth-hypersurface"],
+    )
+    def test_unbounded_dimension_is_validation_error(self, capsys, argv, n):
+        code, out, err = invoke(capsys, *(a.format(n=n) for a in argv))
+        assert (code, out) == (3, "")
+        assert f"must be below {sys.maxsize}" in err
+
     def test_normal_bundle_on_another_pn_is_dimension_error(self, capsys):
         normal = {
             "rank": 1,

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -92,6 +93,15 @@ class TestSmoothHypersurface:
     def test_non_integer_parameters_rejected(self, params):
         with pytest.raises(ValidationError):
             smooth_hypersurface(**params)
+
+    @pytest.mark.usefixtures("no_binomials")
+    @pytest.mark.parametrize("n", [sys.maxsize, 10**400], ids=["maxsize", "10^400"])
+    def test_ambient_dimension_past_maxsize_refused(self, n):
+        # d = 1 and 2 keep (1 - d)^(n + 1) instant, should the bound be missed
+        with pytest.raises(ValidationError, match="n must be below"):
+            euler_smooth_hypersurface(n, 1)
+        with pytest.raises(ValidationError, match="must be below"):
+            smooth_hypersurface(n, 2)
 
 
 class TestReportMachinery:

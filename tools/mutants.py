@@ -89,8 +89,6 @@ EQUIVALENT = {
         "only nonzero coefficients are printed, so c > 0 and c >= 0 agree",
     ("chow.py", "_CoeffVector.__str__", "c > 0", "> → >=", 0):
         "only nonzero coefficients are printed, so c > 0 and c >= 0 agree",
-    ("chow.py", "GradedClass.twist", "n + 1", "1 → 2", 0):
-        "scale gains an entry past index n, which no binomial row reaches",
 }
 
 
