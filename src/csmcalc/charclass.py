@@ -70,19 +70,21 @@ class InvariantData(_Value):
     rho = (1 - Eu)/(chi - Eu) and sigma = 1 - rho = (chi - 1)/(chi - Eu).
     Construction rejects chi = 1 and chi = Eu, where the weights are
     undefined (such values cannot occur for the hypersurfaces covered by
-    the interpolation statement).
+    the interpolation statement).  Both come from the integers of chi = a/b
+    and Eu = c/e: rho = (e - c)b/(ae - cb) and sigma = (a - b)e/(ae - cb).
     """
 
     _fields = ("chi", "eu", "rho", "sigma")
 
     def __init__(self, chi, eu):
-        chi = as_rational(chi)
-        eu = as_rational(eu)
-        if chi == 1:
+        chi, eu = as_rational(chi), as_rational(eu)
+        (a, b), (c, e) = chi.as_integer_ratio(), eu.as_integer_ratio()
+        if a == b:
             raise DegenerateInvariantsError("chi = 1 makes rho/sigma undefined")
-        if chi == eu:
+        det = a * e - c * b
+        if not det:
             raise DegenerateInvariantsError("chi = Eu makes rho/sigma undefined")
-        self._init(chi, eu, (1 - eu) / (chi - eu), (chi - 1) / (chi - eu))
+        self._init(chi, eu, Fraction((e - c) * b, det), Fraction((a - b) * e, det))
 
     def to_json(self) -> dict:
         return _encode({f: getattr(self, f) for f in self._fields})

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import gcd, lcm
 
@@ -214,8 +214,8 @@ class _Value:
     only to an object of the same class with equal fields, and hashed and
     printed by those fields.  Assigning or deleting an attribute raises
     ``AttributeError``; a subclass's ``__init__`` sets its fields with
-    ``_init``, in ``_fields`` order, or one by one with ``_set`` where
-    objects are built often."""
+    ``_init``, in ``_fields`` order, or, where objects are built often,
+    one by one with ``_set`` or through one ``__dict__`` access."""
 
     _fields: tuple[str, ...] = ()
 
@@ -253,8 +253,9 @@ class _CoeffVector(_Value):
     denominator and the form is canonical; equality and hashing compare
     it.  Kernels read it and build their results with ``_reduce``, with no
     per-entry ``Fraction``; ``coeffs``, the tuple of reduced ``Fraction``s,
-    is a view built on first read and cached (the constructor keeps the
-    tuple it coerced).  Every object passes ``__post_init__`` once.
+    is a view built on first read and cached (``__init__`` keeps the tuple
+    it coerced; ``from_coeffs`` and the named constructors build from
+    integers).  Every object passes ``__post_init__`` once.
 
     A subclass sets ``_wire_key`` (the JSON key of the coefficient list),
     ``_noun`` and ``_what`` (its name in messages) and ``_term`` (how one
@@ -276,9 +277,8 @@ class _CoeffVector(_Value):
         self._fill(n, tuple(nums), den)
 
     def _fill(self, n, nums, den):
-        _set(self, "ambient_dim", n)
-        _set(self, "_nums", nums)
-        _set(self, "_den", den)
+        fields = self.__dict__  # one access, past _Value's guard
+        fields["ambient_dim"], fields["_nums"], fields["_den"] = n, nums, den
         self.__post_init__()
 
     @classmethod
@@ -307,11 +307,11 @@ class _CoeffVector(_Value):
 
     @classmethod
     def from_coeffs(cls, ambient_dim, values):
-        """Build from coefficients by index, padding with zeros and
-        discarding indices above n."""
-        _check_ambient_dim(ambient_dim, "ambient_dim")
-        head = tuple(islice(values, ambient_dim + 1))  # coerced by the constructor
-        return cls(ambient_dim, head + (_ZERO,) * (ambient_dim + 1 - len(head)))
+        """Build from coefficients by index, padding with integer zeros and
+        discarding indices above n: only the given entries are coerced."""
+        n = _check_ambient_dim(ambient_dim, "ambient_dim")
+        nums, den = _numerators(tuple(map(as_rational, islice(values, n + 1))))
+        return cls._reduce(n, nums + [0] * (n + 1 - len(nums)), den)
 
     def _check_dim(self, other, kind=None):
         kind = kind or type(self)
@@ -344,7 +344,8 @@ class _CoeffVector(_Value):
         return self._reduce(self.ambient_dim, nums, self._den * s.denominator)
 
     def _to_json(self) -> dict:
-        wire = [_wire(x, self._den) if x else "0" for x in self._nums]
+        nums, den = self._nums, self._den  # an integer class is written with no gcd
+        wire = [*map(_digits, nums)] if den == 1 else [_wire(x, den) if x else "0" for x in nums]
         return {"ambient_dim": self.ambient_dim, self._wire_key: wire}
 
     @classmethod
@@ -478,11 +479,12 @@ class GradedClass(_CoeffVector):
     @classmethod
     def single(cls, ambient_dim, codim, value) -> "GradedClass":
         """The class value * [P^{n-codim}]."""
-        if _check_int(codim, "codimension") > _check_int(ambient_dim, "ambient_dim"):
+        if _check_int(codim, "codimension") > _check_ambient_dim(ambient_dim, "ambient_dim"):
             raise ValidationError(
                 f"codimension {codim} out of range on P^{ambient_dim}"
             )
-        return cls.from_coeffs(ambient_dim, [0] * codim + [value])
+        p, q = as_rational(value).as_integer_ratio()
+        return cls._reduce(ambient_dim, [0] * codim + [p] + [0] * (ambient_dim - codim), q)
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -545,7 +547,9 @@ class GradedClass(_CoeffVector):
     def mul_linear(self, a, b) -> "GradedClass":
         """The class capped with (a + b*H): with a = A/q and b = B/q,
         entry k is (A*N_k + B*N_(k-1)) / (den*q)."""
-        (na, nb), q = _numerators((as_rational(a), as_rational(b)))
+        a, b = as_rational(a), as_rational(b)
+        q = lcm(a.denominator, b.denominator)
+        na, nb = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
         nums = self._nums
         out = [na * x + nb * y for x, y in zip(nums, (0,) + nums)]
         return GradedClass._reduce(self.ambient_dim, out, self._den * q)
@@ -597,5 +601,11 @@ class LineBundleOnPn(_Value):
 
 
 def tangent_chern(n: int) -> HSeries:
-    """c(TP^n) = (1+H)^{n+1} mod H^{n+1}, from the Euler sequence."""
-    return LineBundleOnPn(1).chern(_check_int(n, "projective dimension"), n + 1)
+    """c(TP^n) = (1+H)^{n+1} mod H^{n+1}, from the Euler sequence: one shared
+    object per n, for the last 32 n asked for (it grows like n^2 bits)."""
+    return _tangent_chern(_check_int(n, "projective dimension"))  # a bool is no key
+
+
+@lru_cache(maxsize=32)
+def _tangent_chern(n: int) -> HSeries:
+    return LineBundleOnPn(1).chern(n, n + 1)

@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from csmcalc import charclass as cc
-from csmcalc import scenarios
+from csmcalc import chow, scenarios
 from csmcalc.charclass import BundleData, HypersurfaceSpec, InvariantData
 from csmcalc.chow import GradedClass, HSeries, LineBundleOnPn, parse_rational, tangent_chern
 from csmcalc.errors import (
@@ -378,6 +378,42 @@ class TestOneMatherCapPerSpec:
         assert cc.csm_from_polar(spec, self.INV) == _reference_csm_from_polar(spec, self.INV)
 
 
+class TestTangentChernOncePerN:
+    """c(TP^n) depends on n alone: one run of every route on one spec
+    builds it once, and every later route reads the same object."""
+
+    def test_every_route_builds_it_once(self, monkeypatch):
+        n, d = 24, F(2)
+        spec, inv = TestOneMatherCapPerSpec._dense_spec(), TestOneMatherCapPerSpec.INV
+        c_y = C(n, *[F(k % 5 - 2, k % 3 + 1) for k in range(n + 1)])
+        built, chern = [], LineBundleOnPn.chern
+
+        def counted(bundle, ambient_dim, power=1):
+            built.append((bundle.degree, ambient_dim, power))
+            return chern(bundle, ambient_dim, power)
+
+        chow._tangent_chern.cache_clear()  # whatever ran before
+        monkeypatch.setattr(LineBundleOnPn, "chern", counted)
+        c_fulton = cc.fulton_class(n, d)
+        c_mather = cc.mather_from_polar(spec)
+        assert cc.total_polar_class(spec) == _reference_total_polar(spec)
+        assert cc.mather_double_sum(spec) == c_mather
+        c_sm = cc.csm_from_polar(spec, inv)
+        assert cc.csm_from_interpolation(c_fulton, c_mather, d, inv) == c_sm
+        assert cc.interpolated_class(c_fulton, c_mather, d, inv.rho) == c_sm
+        cc.solver_lhs(c_mather, c_fulton, d)
+        assert cc.solve_invariants(_planted_lhs(c_y, d, inv.eu, inv.chi), c_y, d) == (
+            inv.eu, inv.chi)
+        s_yx = cc.segre_from_polar(spec, BundleData.line(n, d))
+        s_ym = cc.segre_yx_to_ym(s_yx, d, inv)
+        assert cc.segre_ym_to_yx(s_ym, d, inv) == s_yx
+        assert cc.mather_from_segre(s_yx, n, d) == c_mather
+        assert cc.csm_from_segre(s_ym, n, d) == c_sm
+        monkeypatch.undo()
+        assert [b for b in built if b[2] == n + 1] == [(1, n, n + 1)]
+        assert cc.fulton_class(n, d) == _reference_fulton(n, d)
+
+
 class TestIntegerDoubleSum:
     """mather_double_sum sums integer numerators; its result must equal the
     Fraction double loop's exactly."""
@@ -414,6 +450,30 @@ class TestInvariantData:
     def test_chi_equal_eu_rejected(self):
         with pytest.raises(DegenerateInvariantsError):
             InvariantData(F(3), F(3))
+
+    def test_weights_from_integers_match_fraction_formulas(self):
+        # rho and sigma come from the integers of chi = a/b and Eu = c/e
+        grid = [F(p, q) for p in range(-7, 8) for q in (1, 2, 3, 6, 35)]
+        for chi in grid:
+            for eu in grid:
+                if chi == 1 or chi == eu:
+                    continue
+                inv = InvariantData(chi, eu)
+                assert (inv.rho, inv.sigma) == ((1 - eu) / (chi - eu), (chi - 1) / (chi - eu))
+                assert type(inv.rho) is type(inv.sigma) is F
+        inv = InvariantData("-9/4", -3)
+        assert (inv.chi, inv.eu, inv.rho, inv.sigma) == (F(-9, 4), F(-3), F(16, 3), F(-13, 3))
+
+    @pytest.mark.parametrize(
+        "chi,eu",
+        [(F(1), F(5)), (F(1), F(1)), (F(2, 2), "1"), (F(3), F(3)), (F(-5, 6), "-10/12")],
+        ids=["chi-one", "both", "chi-one-literal", "chi-eu", "chi-eu-literal"],
+    )
+    def test_degenerate_messages_in_order(self, chi, eu):
+        # chi = 1 is named first, also when chi = Eu = 1
+        which = "chi = 1" if chi == 1 else "chi = Eu"
+        with pytest.raises(DegenerateInvariantsError, match=f"^{which} makes rho/sigma undefined$"):
+            InvariantData(chi, eu)
 
     def test_json(self):
         inv = InvariantData.from_json({"chi": "-1", "eu": "2"})

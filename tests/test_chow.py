@@ -10,11 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from csmcalc import chow
 from csmcalc.chow import (
     GradedClass,
     HSeries,
     LineBundleOnPn,
     _convolve,
+    _wire,
     as_rational,
     format_rational,
     parse_rational,
@@ -179,6 +181,32 @@ class TestConstructorCoercion:
         assert cls.from_coeffs(3, iter(["1", F(1, 2)])).coeffs == (F(1), F(1, 2), F(0), F(0))
         with pytest.raises(ValidationError):
             cls.from_coeffs(2, [F(1), 0.5])
+
+    @pytest.mark.parametrize("cls", [HSeries, GradedClass])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_integer_constructors_match_the_constructor(self, cls, n):
+        # from_coeffs, single, zero and one build from integers; every one
+        # must give the object the constructor builds from the padded tuple
+        def same(got, coeffs):
+            want = cls(n, coeffs)
+            assert (got._nums, got._den, got.coeffs) == (want._nums, want._den, want.coeffs)
+            assert (repr(got), hash(got)) == (repr(want), hash(want))
+            assert all(type(c) is F for c in got.coeffs)
+
+        values = [3, F(-4, 6), "5/10", "-7", 0, F(0), "0", -2, "9/3", F(11, 5)]
+        for length in range(len(values) + 1):
+            head = values[:length]
+            padded = (head + [0] * (n + 1))[: n + 1]  # past n dropped, short padded
+            same(cls.from_coeffs(n, head), padded)
+            same(cls.from_coeffs(n, iter(head)), padded)
+        if cls is HSeries:
+            same(HSeries.one(n), [1] + [0] * n)
+            return
+        same(GradedClass.zero(n), [0] * (n + 1))
+        for codim in range(n + 1):
+            for value in values:
+                same(GradedClass.single(n, codim, value),
+                     [0] * codim + [value] + [0] * (n - codim))
 
     @pytest.mark.parametrize("cls", [HSeries, GradedClass])
     def test_list_and_generator_become_tuples(self, cls):
@@ -451,6 +479,9 @@ class TestAmbientDimensionBound:
             lambda: HSeries.from_coeffs(n, [1]),
             lambda: GradedClass.from_coeffs(n, [1]),
             lambda: GradedClass.single(n, 1, 2),
+            lambda: GradedClass.single(n, n, 2),  # refused before [0] * codim
+            lambda: GradedClass.zero(n),
+            lambda: HSeries.one(n),
         ):
             with pytest.raises(ValidationError, match=f"ambient_dim must be below {sys.maxsize}"):
                 build()
@@ -575,6 +606,26 @@ class TestTangentChern:
         for n in range(6):
             assert tangent_chern(n) == S(n, 1, 1) ** (n + 1)
 
+    def test_built_once_per_n(self):
+        chow._tangent_chern.cache_clear()
+        assert tangent_chern(7) is tangent_chern(7)
+        assert tangent_chern(7) is not tangent_chern(8)
+
+    def test_cache_is_bounded(self):
+        # c(TP^n) grows like n^2 bits: at most 32 of them are kept
+        chow._tangent_chern.cache_clear()
+        for n in range(40):
+            tangent_chern(n)
+        assert chow._tangent_chern.cache_info().currsize == 32
+
+    @pytest.mark.parametrize("bad", [True, False, -1, 1.0, "1"])
+    def test_bad_argument_refused_after_a_cached_n(self, bad):
+        # True == 1 and hashes alike: the argument is checked before the cache
+        tangent_chern(1)
+        tangent_chern(0)
+        with pytest.raises(ValidationError, match="projective dimension must be"):
+            tangent_chern(bad)
+
 
 class TestGradedClassBasics:
     def test_add_sub_neg(self):
@@ -675,6 +726,16 @@ class TestJsonWireForms:
             "ambient_dim": 3,
             "coeffs_by_codim": ["0", "4", "-7", "10"],
         }
+
+    @pytest.mark.parametrize("cls", [HSeries, GradedClass])
+    def test_integer_class_written_as_per_entry_wire(self, cls):
+        # _den == 1 is written entry by entry with no gcd; the bytes must be
+        # the per-entry wire form's, past the int-string digit limit too
+        huge = 10**5000 + 7
+        for coeffs in ([0, 3, -4, 0, huge, -huge], [0] * 6, [1, 2, "1/2", 0, huge, F(-1, 3)]):
+            got = cls(5, coeffs)
+            want = [_wire(x, got._den) for x in got._nums]
+            assert got.to_json() == {"ambient_dim": 5, cls._wire_key: want}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InputParseError):

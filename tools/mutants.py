@@ -15,6 +15,8 @@ Each mutant changes one site of one file:
 Every mutant runs the tier-1 suite (``python -m pytest -q -x`` over
 ``tests/``) in a scratch copy of the checkout, one copy per worker, made
 under the system temporary directory (``TMPDIR``) and removed at the end.
+Each run draws with one fixed Hypothesis seed and starts with no Hypothesis
+example database, so two sweeps of one tree give the same verdicts.
 A mutant is killed when the suite fails or errors, and survives when it
 passes; one that runs past five times the unmutated suite's time (plus a
 minute) is stopped and counted apart.  The report, in Markdown on
@@ -43,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKERS = 2
+HYPOTHESIS_SEED = 0
 MEMORY_LIMIT = 2 << 30  # address space of one suite run, in bytes
 COPIED = ("src", "tests", "bench", "pyproject.toml")  # tests read bench/tracer.py
 
@@ -217,7 +220,8 @@ def mutants(path: Path):
 def _run_suite(copy: Path, timeout: float) -> str:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "--continue-on-collection-errors"]
+               "--continue-on-collection-errors", f"--hypothesis-seed={HYPOTHESIS_SEED}"]
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)  # no examples from an earlier mutant
     try:
         done = subprocess.run(command, cwd=copy, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -292,7 +296,8 @@ def _report(paths, files, work, outcomes, unplaced, seconds) -> str:
         "# Mutation sweep", "",
         f"`python3 tools/mutants.py {' '.join(paths)}`: Python "
         f"{sys.version.split()[0]}, {WORKERS} workers, {seconds / 60:.0f} minutes.",
-        "Each mutant ran `python -m pytest -q -x` over `tests/` in a scratch copy.", "",
+        f"Each mutant ran `python -m pytest -q -x --hypothesis-seed={HYPOTHESIS_SEED}` over "
+        "`tests/` in a scratch copy, with no Hypothesis example database.", "",
         "| file | mutants | killed | timed out | survived: equivalent | survived: not caught "
         "| not placed |",
         "|---|---|---|---|---|---|---|",
