@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd
 
 from .chow import (
     GradedClass,
@@ -50,9 +50,8 @@ from .chow import (
     _check_int,
     _check_keys,
     _encode,
+    _gather,
     _literal,
-    _numerators,
-    _set,
 )
 from .errors import (
     DegenerateInvariantsError,
@@ -86,7 +85,7 @@ class InvariantData(_Value):
             raise DegenerateInvariantsError("chi = Eu makes rho/sigma undefined")
         self._init(chi, eu, Fraction((e - c) * b, det), Fraction((a - b) * e, det))
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict:  # shared with BundleData: each field by _encode
         return _encode({f: getattr(self, f) for f in self._fields})
 
     @classmethod
@@ -104,10 +103,10 @@ class BundleData(_Value):
         _check_int(rank, "bundle rank")
         if not isinstance(total_chern, HSeries):
             raise ValidationError("a total Chern class must be an HSeries")
-        if total_chern.constant_term != 1:
+        if total_chern._nums[0] != total_chern._den:
             raise ValidationError("a total Chern class has constant term 1")
-        _set(self, "rank", rank)  # built once or more per route: no _init loop
-        _set(self, "total_chern", total_chern)
+        fields = self.__dict__  # built once or more per route: no _init call
+        fields["rank"], fields["total_chern"] = rank, total_chern
 
     @classmethod
     def line(cls, ambient_dim: int, degree) -> "BundleData":
@@ -129,8 +128,7 @@ class BundleData(_Value):
         low = GradedClass._reduce(n, c._nums[: e + 1] + (0,) * (n - e), c._den).twist(bundle, n - e)
         return BundleData(e, HSeries._reduce(n, low._nums, low._den))
 
-    def to_json(self) -> dict:
-        return _encode({"rank": self.rank, "total_chern": self.total_chern})
+    to_json = InvariantData.to_json
 
     @classmethod
     def from_json(cls, data) -> "BundleData":
@@ -176,7 +174,7 @@ class HypersurfaceSpec(_Value):
         if _check_int(r, "dim X = r") >= n:
             raise ValidationError("need 0 <= r < n for a proper subvariety")
         d = as_rational(d)
-        values = [0] * (r + 1)
+        values = [(0, 1)] * (r + 1)
         for k, m, nums, den in entries:
             if k > r:
                 raise ValidationError(f"polar class index {k} exceeds dim X = {r}")
@@ -185,7 +183,7 @@ class HypersurfaceSpec(_Value):
             c = n - r + k
             if any(nums[:c]) or any(nums[c + 1 :]):
                 raise ValidationError(f"polar class {k} must be supported in dimension {r - k}")
-            values[k] = Fraction(nums[c], den)
+            values[k] = nums[c], den
         if ambient_tangent is not None:
             if not isinstance(ambient_tangent, HSeries):
                 raise ValidationError("ambient_tangent must be an HSeries")
@@ -193,13 +191,13 @@ class HypersurfaceSpec(_Value):
                 raise DimensionMismatchError(
                     "ambient_tangent series has the wrong ambient dimension"
                 )
-            if ambient_tangent.constant_term != 1:
+            if ambient_tangent._nums[0] != ambient_tangent._den:
                 raise ValidationError("ambient_tangent must have constant term 1")
-        nums, den = _numerators(values)
-        self._init(n, r, d)
-        _set(self, "ambient_tangent", ambient_tangent)
-        _set(self, "_signed", _alternate(nums))
-        _set(self, "_den", den)
+        nums, den = _gather(values)
+        g = gcd(den, *nums)  # wire literals need not be in lowest terms
+        fields = self.__dict__
+        fields["n"], fields["r"], fields["d"], fields["ambient_tangent"] = n, r, d, ambient_tangent
+        fields["_signed"], fields["_den"] = _alternate([x // g for x in nums]), den // g
         return self
 
     def _polar_class(self, k) -> GradedClass:

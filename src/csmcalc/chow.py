@@ -165,11 +165,11 @@ def _check_keys(data, required, optional=frozenset(), what="object"):
         raise InputParseError(f"missing key(s) in {what}: {', '.join(sorted(missing))}")
 
 
-def _numerators(coeffs) -> tuple[list[int], int]:
-    """The integer numerators of coeffs over their least common denominator,
-    and that denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _gather(pairs) -> tuple[list[int], int]:
+    """A list of integer pairs (p, q), q > 0, as numerators over the lcm of
+    the q, and that lcm: the one way from rationals to the integer form."""
+    den = lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
 
 
 def _convolve(a, b) -> list[int]:
@@ -206,22 +206,18 @@ def _alternate(coeffs, shift=0) -> tuple:
     return tuple(a if (k + shift) % 2 == 0 else -a for k, a in enumerate(coeffs))
 
 
-_set = object.__setattr__  # bypasses _Value's guard; for construction only
-
-
 class _Value:
     """An immutable value over the attributes named in ``_fields``: equal
     only to an object of the same class with equal fields, and hashed and
     printed by those fields.  Assigning or deleting an attribute raises
     ``AttributeError``; a subclass's ``__init__`` sets its fields with
-    ``_init``, in ``_fields`` order, or, where objects are built often,
-    one by one with ``_set`` or through one ``__dict__`` access."""
+    ``_init``, in ``_fields`` order, or, where objects are built often, by
+    direct stores into ``self.__dict__``."""
 
     _fields: tuple[str, ...] = ()
 
     def _init(self, *values):
-        for name, value in zip(self._fields, values):
-            _set(self, name, value)
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> list:
         return [getattr(self, f) for f in self._fields]
@@ -271,9 +267,8 @@ class _CoeffVector(_Value):
 
     def __init__(self, ambient_dim, coeffs):
         n = _check_int(ambient_dim, "ambient_dim")
-        coeffs = tuple(map(as_rational, coeffs))
-        nums, den = _numerators(coeffs)
-        _set(self, "coeffs", coeffs)
+        coeffs = self.__dict__["coeffs"] = tuple(map(as_rational, coeffs))
+        nums, den = _gather([c.as_integer_ratio() for c in coeffs])
         self._fill(n, tuple(nums), den)
 
     def _fill(self, n, nums, den):
@@ -310,7 +305,7 @@ class _CoeffVector(_Value):
         """Build from coefficients by index, padding with integer zeros and
         discarding indices above n: only the given entries are coerced."""
         n = _check_ambient_dim(ambient_dim, "ambient_dim")
-        nums, den = _numerators(tuple(map(as_rational, islice(values, n + 1))))
+        nums, den = _gather([as_rational(v).as_integer_ratio() for v in islice(values, n + 1)])
         return cls._reduce(n, nums + [0] * (n + 1 - len(nums)), den)
 
     def _check_dim(self, other, kind=None):
@@ -358,10 +353,10 @@ class _CoeffVector(_Value):
                 f"{cls._wire_key} must list exactly {n + 1} entries for ambient_dim {n}"
             )
         read = {i: _literal(v) for i, v in enumerate(values) if v != "0"}  # "0" unparsed
-        den = lcm(*[q for _, q in read.values()])
+        got, den = _gather([*read.values()])
         nums = [0] * (n + 1)
-        for i, (p, q) in read.items():
-            nums[i] = p * (den // q)
+        for i, p in zip(read, got):
+            nums[i] = p
         return n, nums, den
 
     def _from_json(cls, data):  # each subclass binds it as a classmethod
@@ -413,19 +408,20 @@ class HSeries(_CoeffVector):
     __rmul__ = __mul__
 
     def inverse(self) -> "HSeries":
-        """Multiplicative inverse mod H^{n+1}, by the convolution recurrence."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        """Multiplicative inverse mod H^{n+1}, by the convolution recurrence on
+        integers: with A_i = _nums[i], B_0 = 1 and B_k = -sum_{i>=1} A_i *
+        B_(k-i) * A_0^(i-1), coefficient k is den * B_k / A_0^(k+1), all over
+        |A_0^(n+1)|."""
+        a, n = self._nums, self.ambient_dim
+        if not a[0]:
             raise NonUnitError("cannot invert a series with zero constant term")
-        n = self.ambient_dim
-        out = [1 / a0]
+        steps = [(i, x * a[0] ** (i - 1)) for i, x in enumerate(a) if i and x]
+        b = [1]
         for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * out[k - i]
-            out.append(-acc / a0)
-        return HSeries(n, tuple(out))
+            b.append(-sum(t * b[k - i] for i, t in steps if i <= k))
+        top = a[0] ** (n + 1)
+        den = self._den if top > 0 else -self._den  # the sign moves to the numerators
+        return HSeries._reduce(n, [den * x * a[0] ** (n - k) for k, x in enumerate(b)], abs(top))
 
     def __pow__(self, exponent: int) -> "HSeries":
         _check_int(exponent, "series exponent", low=None)
@@ -547,9 +543,7 @@ class GradedClass(_CoeffVector):
     def mul_linear(self, a, b) -> "GradedClass":
         """The class capped with (a + b*H): with a = A/q and b = B/q,
         entry k is (A*N_k + B*N_(k-1)) / (den*q)."""
-        a, b = as_rational(a), as_rational(b)
-        q = lcm(a.denominator, b.denominator)
-        na, nb = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+        (na, nb), q = _gather([as_rational(x).as_integer_ratio() for x in (a, b)])
         nums = self._nums
         out = [na * x + nb * y for x, y in zip(nums, (0,) + nums)]
         return GradedClass._reduce(self.ambient_dim, out, self._den * q)
@@ -585,8 +579,8 @@ class LineBundleOnPn(_Value):
 
     _fields = ("degree",)
 
-    def __init__(self, degree):  # built once or more per route: no _init loop
-        _set(self, "degree", as_rational(degree))
+    def __init__(self, degree):  # built once or more per route: no _init call
+        self.__dict__["degree"] = as_rational(degree)
 
     def chern(self, ambient_dim: int, power: int = 1) -> HSeries:
         """c(L)^power = (1 + degree*H)^power on P^{ambient_dim}, for every

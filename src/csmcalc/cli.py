@@ -5,7 +5,8 @@ dispatches to the exact engine, and renders results either as a short
 table (classes printed highest dimension first) or as JSON that can be
 piped straight back in.  All configuration is by flags; exit codes are
 0 success, 1 failing scenario, 2 parse, 3 validation, 4 degenerate
-invariants, 5 inconsistent system, 6 internal error.
+invariants, 5 inconsistent system, 6 internal error; where the platform
+has SIGPIPE, ``main`` ends by it when standard output is a closed pipe.
 
 The subcommands are one table in ``_build_parser``: a name, help, a
 compute function returning ``(inputs, results)`` and the arguments.  One
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from . import charclass
@@ -288,6 +290,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process, as it ends other filters
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(run())
 
 

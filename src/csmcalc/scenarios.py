@@ -86,10 +86,6 @@ def fixture_json(name: str) -> dict:
     return json.loads(files("csmcalc").joinpath("fixtures", name).read_text())
 
 
-def _cls(n, by_codim) -> GradedClass:
-    return GradedClass.from_coeffs(n, by_codim)
-
-
 def tangent_developable() -> ScenarioReport:
     """The degree-4 tangent developable surface of the twisted cubic in P^3.
 
@@ -107,20 +103,20 @@ def tangent_developable() -> ScenarioReport:
         [],
     )
 
-    polar_total = charclass.total_polar_class(spec)
-    report.check("total_polar", polar_total, _cls(n, [0, 4, -7, 10]), "published")
+    total = charclass.total_polar_class(spec)
+    report.check("total_polar", total, GradedClass.from_coeffs(n, [0, 4, -7, 10]), "published")
 
     c_mather = charclass.mather_from_polar(spec)
-    report.check("c_mather", c_mather, _cls(n, [0, 4, 9, 6]), "derived")
+    report.check("c_mather", c_mather, GradedClass.from_coeffs(n, [0, 4, 9, 6]), "derived")
     report.check(
         "c_mather_double_sum", charclass.mather_double_sum(spec), c_mather, "derived"
     )
 
     c_fulton = charclass.fulton_class(n, d)
-    report.check("c_fulton", c_fulton, _cls(n, [0, 4, 0, 24]), "derived")
+    report.check("c_fulton", c_fulton, GradedClass.from_coeffs(n, [0, 4, 0, 24]), "derived")
 
     lhs = charclass.solver_lhs(c_mather, c_fulton, d)
-    report.check("solver_lhs", lhs, _cls(n, [0, 0, 9, 18]), "published")
+    report.check("solver_lhs", lhs, GradedClass.from_coeffs(n, [0, 0, 9, 18]), "published")
 
     eu, chi = charclass.solve_invariants(lhs, c_y, d)
     report.check("eu", eu, Fraction(2), "published")
@@ -129,7 +125,7 @@ def tangent_developable() -> ScenarioReport:
     inv = InvariantData(chi, eu)
     report.check("rho", inv.rho, Fraction(1, 3), "published")
 
-    csm_expected = _cls(n, [0, 4, 6, 4])
+    csm_expected = GradedClass.from_coeffs(n, [0, 4, 6, 4])
     report.check(
         "csm_interpolation",
         charclass.csm_from_interpolation(c_fulton, c_mather, d, inv),
@@ -141,9 +137,9 @@ def tangent_developable() -> ScenarioReport:
     )
 
     s_yx = charclass.segre_from_polar(spec, BundleData.line(n, d))
-    report.check("s_YX", s_yx, _cls(n, [0, 0, 9, -18]), "derived")
+    report.check("s_YX", s_yx, GradedClass.from_coeffs(n, [0, 0, 9, -18]), "derived")
     s_ym = charclass.segre_yx_to_ym(s_yx, d, inv)
-    report.check("s_YM", s_ym, _cls(n, [0, 0, 6, -28]), "derived")
+    report.check("s_YM", s_ym, GradedClass.from_coeffs(n, [0, 0, 6, -28]), "derived")
     report.check(
         "csm_segre_route", charclass.csm_from_segre(s_ym, n, d), csm_expected, "published"
     )

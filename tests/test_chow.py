@@ -256,6 +256,10 @@ class TestSeriesArithmetic:
         with pytest.raises(NonUnitError):
             S(3, 0, 1).inverse()
 
+    def test_constant_term(self):
+        assert S(3, F(-2, 3), 5, 0, F(1, 7)).constant_term == F(-2, 3)
+        assert S(2, 0, 1).constant_term == 0 and HSeries.one(4).constant_term == 1
+
     def test_pow_negative(self):
         assert S(3, 1, 1) ** -2 == S(3, 1, -2, 3, -4)
 

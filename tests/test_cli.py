@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import csmcalc
-from csmcalc import cli, fulton_class, mather_from_polar, scenarios, total_polar_class
+from csmcalc import charclass, cli, fulton_class, mather_from_polar, scenarios, total_polar_class
 from csmcalc.charclass import HypersurfaceSpec
 from csmcalc.chow import GradedClass
 from csmcalc.cli import run
@@ -72,6 +74,15 @@ class TestTableOutputs:
             capsys, "mather", "--spec", SPEC_JSON, "--method", "double-sum"
         )
         assert out_cap.splitlines()[0] == out_sum.splitlines()[0]
+
+    def test_method_selects_the_mather_route(self, capsys, monkeypatch):
+        ran = []
+        for name in ("mather_from_polar", "mather_double_sum"):
+            route = getattr(charclass, name)
+            monkeypatch.setattr(charclass, name, lambda s, r=route, n=name: ran.append(n) or r(s))
+        invoke(capsys, "mather", "--spec", SPEC_JSON)
+        invoke(capsys, "mather", "--spec", SPEC_JSON, "--method", "double-sum")
+        assert ran == ["mather_from_polar", "mather_double_sum"]
 
     def test_csm_polar_route(self, capsys):
         code, out, _ = invoke(
@@ -206,6 +217,17 @@ class TestScenarioCommand:
         payload = json.loads(out)
         assert payload["status"] == "pass"
         assert payload["inputs"]["spec"]["d"] == "5"
+
+    def test_failing_report_exits_one(self, capsys, monkeypatch):
+        def failing(name, **params):
+            report = scenarios.ScenarioReport(name, {}, [])
+            report.check("value", 1, 2, "derived")
+            return report
+
+        monkeypatch.setattr(scenarios, "run_scenario", failing)
+        code, out, _ = invoke(capsys, "run-scenario", "tangent-developable")
+        assert code == 1
+        assert out.startswith("scenario tangent-developable: FAIL")
 
     def test_unknown_scenario_is_validation_error(self, capsys):
         code, _, err = invoke(capsys, "run-scenario", "no-such-scenario")
@@ -578,6 +600,16 @@ class TestExitCodes:
         assert code == 2
         assert "not both" in err
 
+    @pytest.mark.parametrize("flag", ("--chi=-1", "--eu=2"))
+    def test_half_an_invariant_pair(self, capsys, flag):
+        code, out, err = invoke(capsys, "csm", "--spec", SPEC_JSON, flag)
+        assert (code, out, err) == (2, "", "error: need --chi and --eu (or --invariants)\n")
+        code, _, err = invoke(
+            capsys, "csm", "--spec", SPEC_JSON, flag, "--invariants", '{"chi": "-1", "eu": "2"}'
+        )
+        assert code == 2
+        assert "not both" in err
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "polar-total", "--spec", "no/such/file.json")
         assert code == 2
@@ -638,3 +670,22 @@ def test_cli_import_leaves_out_dataclasses_and_scenarios():
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_cli_by_sigpipe():
+    """A stdout whose reader is gone is no package defect: the CLI is killed by
+    SIGPIPE, as other filters are, and writes nothing to stderr."""
+    src = str(Path(csmcalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    read, write = os.pipe()
+    os.close(read)  # before the CLI starts: its first write meets a closed pipe
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "csmcalc.cli", "run-scenario", "tangent-developable"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")

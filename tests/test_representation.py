@@ -187,6 +187,7 @@ def test_routes_from_wire_to_wire_never_read_the_fraction_view(monkeypatch):
     normal = BundleData.from_json(data["normal"])
     inv = InvariantData.from_json(data["invariants"])
     s_yx, s_ym, c_y = (GradedClass.from_json(data[k]) for k in ("s_yx", "s_ym", "c_y"))
+    tangent = HSeries.from_json(data["tangent"])
 
     c_f = cc.fulton_class(N, D)
     c_ma = cc.mather_from_polar(spec)
@@ -213,6 +214,9 @@ def test_routes_from_wire_to_wire_never_read_the_fraction_view(monkeypatch):
         "solver_lhs": cc.solver_lhs(c_ma, c_f, D),
         "mather_curve": cc.mather_from_polar(curve),
         "double_sum_curve": cc.mather_double_sum(curve),
+        "tangent_inverse": tangent.inverse(),
+        "tangent_pow": tangent ** -3,
+        "normal_inverse": normal.total_chern.inverse(),
     }
     planted = c_y.mul_linear(F(5) - F(-3, 2), (F(5) - 1) * D).to_json()
     solved = cc.solve_invariants(GradedClass.from_json(planted), c_y, D)
@@ -226,3 +230,49 @@ def test_routes_from_wire_to_wire_never_read_the_fraction_view(monkeypatch):
     assert wire["csm_interpolation"] == wire["csm_polar"] == wire["csm_segre"]
     assert wire["segre_round_trip"] == wire["segre_polar"]
     assert wire["mather_curve"] == wire["double_sum_curve"]
+    assert tangent * results["tangent_inverse"] == HSeries.one(N)
+    assert results["tangent_pow"] * tangent * (tangent * tangent) == HSeries.one(N)
+
+
+@pytest.mark.parametrize("n", (24, 120))
+@pytest.mark.parametrize("degree", (F(1), F(-7, 3)))
+@pytest.mark.parametrize("power", ("n+1", 5))
+def test_inverse_of_a_chern_power_is_the_opposite_power(n, degree, power):
+    e = n + 1 if power == "n+1" else power
+    bundle = LineBundleOnPn(degree)
+    assert bundle.chern(n, e).inverse() == bundle.chern(n, -e)
+
+
+@pytest.mark.parametrize("n", (4, 5))  # A_0^(n+1) < 0 at even n only
+def test_inverse_with_a_negative_constant_term(n):
+    series = LineBundleOnPn(F(5, 2)).chern(n, 3) * F(-3, 2)
+    got = series.inverse()
+    assert got == LineBundleOnPn(F(5, 2)).chern(n, -3) * F(-2, 3)
+    assert got._den > 0 and math.gcd(got._den, *got._nums) == 1
+    assert series * got == HSeries.one(n) == got * series
+
+
+def test_polar_literals_need_not_be_in_lowest_terms():
+    def spec(*literals):
+        polar = {str(k): _single(1 + k, F(1)) for k in range(len(literals))}
+        for k, value in enumerate(literals):  # as written, unreduced
+            polar[str(k)]["coeffs_by_codim"][1 + k] = value
+        return HypersurfaceSpec.from_json({"n": N, "r": N - 1, "d": "7/2", "polar": polar})
+
+    loose = spec("14/4", "6/4", "-10/15", "0/9", "16/2")
+    tight = spec("7/2", "3/2", "-2/3", "0", "8")
+    assert loose == tight and hash(loose) == hash(tight)
+    assert (loose._signed, loose._den) == (tight._signed, tight._den)
+    assert loose.to_json() == tight.to_json()
+    inv, normal = InvariantData(F(-3, 2), 5), BundleData.line(N, F(7, 2))
+
+    def routes(s):
+        c_f, c_ma = cc.fulton_class(N, s.d), cc.mather_from_polar(s)
+        classes = (
+            cc.total_polar_class(s), c_ma, cc.mather_double_sum(s), cc.csm_from_polar(s, inv),
+            cc.segre_from_polar(s, normal), cc.csm_from_interpolation(c_f, c_ma, s.d, inv),
+            cc.interpolated_class(c_f, c_ma, s.d, F(2, 9)),
+        )
+        return [c.to_json() for c in classes]
+
+    assert routes(loose) == routes(tight)
