@@ -51,7 +51,6 @@ from .chow import (
     _check_keys,
     _encode,
     _gather,
-    _literal,
 )
 from .errors import (
     DegenerateInvariantsError,
@@ -240,7 +239,10 @@ class HypersurfaceSpec(_Value):
         for key, value in data["polar"].items():
             if not isinstance(key, str) or not key.isdecimal():
                 raise InputParseError(f"polar key {key!r} is not a polar index")
-            index = _literal(key)[0]  # exit 2 past the int-string digit limit
+            try:
+                index = int(key)
+            except ValueError as exc:  # past the int-string digit limit: exit 2
+                raise InputParseError(f"rational literal too long: {exc}") from exc
             if index in entries:  # "1", "01" and "\u0661" name one index
                 raise InputParseError(f"polar key {key!r} repeats polar index {index}")
             entries[index] = index, *GradedClass._wire_nums(value)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatchError,
@@ -37,6 +38,8 @@ Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 _ZERO = Fraction(0)  # shared: most wire coefficients are "0"
+_CHUNK_DIGITS = 600  # below 640, the least int-string limit Python allows
+_MAX_DIGITS = 20_000  # the most digits of one integer in a wire literal, leading zeros included
 
 
 def _is_int(value) -> bool:
@@ -75,6 +78,22 @@ def as_rational(value) -> Fraction:
     raise ValidationError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _int(digits: str) -> int:
+    """int(digits) for a signed decimal string of any length.  Past the
+    interpreter's int-string digit limit it is read in chunks of
+    _CHUNK_DIGITS, the mirror of _digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    body = digits.lstrip("+-")
+    head = len(body) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    value, scale = int(body[:head]), 10**_CHUNK_DIGITS
+    for start in range(head, len(body), _CHUNK_DIGITS):
+        value = value * scale + int(body[start : start + _CHUNK_DIGITS])
+    return -value if digits[0] == "-" else value
+
+
 def _literal(value) -> tuple[int, int]:
     """The integers (p, q), q > 0, of a wire rational "p" or "p/q" (or an int), unreduced."""
     if not isinstance(value, str):
@@ -87,18 +106,14 @@ def _literal(value) -> tuple[int, int]:
     if not match:
         raise InputParseError(f"bad rational literal {value!r}")
     num, den = match.groups()
-    try:
-        return int(num), int(den) if den else 1
-    except ValueError as exc:  # past the interpreter's int-string digit limit
-        raise InputParseError(f"rational literal too long: {exc}") from exc
+    if max(len(num.lstrip("+-")), len(den or "")) > _MAX_DIGITS:
+        raise InputParseError(f"rational literal too long: more than {_MAX_DIGITS} digits")
+    return _int(num), _int(den) if den else 1
 
 
 def parse_rational(value) -> Fraction:
     """Parse the wire form of a rational: the string "p" or "p/q" (or an int)."""
     return _ZERO if value == "0" else Fraction(*_literal(value))
-
-
-_CHUNK_DIGITS = 600  # below 640, the least int-string limit Python allows
 
 
 def _digits(value: int) -> str:
@@ -172,13 +187,23 @@ def _gather(pairs) -> tuple[list[int], int]:
     return [p * (den // q) for p, q in pairs], den
 
 
+_DENSE_MIN_N = 12  # below it the zero-skipping loop is about as fast on dense operands
+
+
 def _convolve(a, b) -> list[int]:
     """Truncated product of two integer vectors of equal length n+1:
     entry k is the sum of a[i] * b[j] over i + j = k, for k <= n.
 
-    The zeros of both operands are skipped, so the loop visits only pairs
-    of nonzero entries, whichever operand is the sparse one."""
+    Two operands with few zeros (at most (n+1)/5 between them) from n =
+    _DENSE_MIN_N on are summed in C, entry k as one sum(map(mul, ...)) of
+    a against b[k], ..., b[0]: map stops after those k+1 pairs.  Otherwise
+    the zeros of both operands are skipped, so the loop visits only pairs
+    of nonzero entries, whichever operand is the sparse one: one-piece,
+    sparse and small products are faster so."""
     n = len(a) - 1
+    if n >= _DENSE_MIN_N and 5 * (a.count(0) + b.count(0)) <= n + 1:
+        rb = b[::-1]
+        return [sum(map(mul, a, rb[n - k :])) for k in range(n + 1)]
     inner = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (n + 1)
     for i, x in enumerate(a):
@@ -352,6 +377,13 @@ class _CoeffVector(_Value):
             raise InputParseError(
                 f"{cls._wire_key} must list exactly {n + 1} entries for ambient_dim {n}"
             )
+        try:  # integer literals, read in one int pass over denominator 1
+            text = "".join(values)  # TypeError unless every entry is a str
+            short = len(text) <= _MAX_DIGITS or max(map(len, values)) <= _MAX_DIGITS
+            if short and "_" not in text and "/" not in text:  # int() would read "1_0"
+                return n, [*map(int, values)], 1
+        except (TypeError, ValueError):
+            pass  # the per-entry path below names the first bad entry
         read = {i: _literal(v) for i, v in enumerate(values) if v != "0"}  # "0" unparsed
         got, den = _gather([*read.values()])
         nums = [0] * (n + 1)

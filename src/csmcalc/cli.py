@@ -64,7 +64,7 @@ def _wire_int(value: str) -> int:
     try:
         if "/" not in value:
             return int(parse_rational(value))
-    except InputParseError:  # not a literal, or past the int-string digit limit
+    except InputParseError:  # not a literal, or past the reader's digit bound
         pass
     raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
 

@@ -2,13 +2,16 @@
 
 import copy
 import math
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from csmcalc import chow
 from csmcalc.chow import (
@@ -63,11 +66,11 @@ class TestRationalWireForm:
             as_rational(0.5)
 
     def test_parse_rejects_oversize_literal(self):
-        # past the interpreter's limit on int-string conversion
+        # past the reader's bound on the digits of one integer
         with pytest.raises(InputParseError):
-            parse_rational("1" * 5000)
+            parse_rational("1" * (chow._MAX_DIGITS + 1))
         with pytest.raises(InputParseError):
-            parse_rational("1/" + "3" * 5000)
+            parse_rational("1/" + "3" * (chow._MAX_DIGITS + 1))
 
     @pytest.mark.parametrize(
         "value,text",
@@ -88,8 +91,18 @@ class TestRationalWireForm:
 _REFERENCE_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
 
+def _digit_by_digit(text):
+    """The integer of a signed decimal string, one digit at a time: no
+    int-string digit limit applies."""
+    value = 0
+    for ch in text.lstrip("+-"):
+        value = 10 * value + int(ch)
+    return -value if text.startswith("-") else value
+
+
 def _reference_parse(value):
-    """parse_rational as two parsers: a syntax regex, then Fraction(str)."""
+    """parse_rational as two steps: a syntax regex and the digit bound, then
+    each integer read digit by digit."""
     if isinstance(value, int) and not isinstance(value, bool):
         return F(value)
     if not isinstance(value, str):
@@ -97,10 +110,10 @@ def _reference_parse(value):
     text = value.strip()
     if not _REFERENCE_RE.fullmatch(text):
         raise InputParseError(f"bad rational literal {value!r}")
-    try:
-        return F(text)
-    except ValueError as exc:
-        raise InputParseError(f"rational literal too long: {exc}") from exc
+    num, _, den = text.partition("/")
+    if max(len(num.lstrip("+-")), len(den)) > 20_000:
+        raise InputParseError("rational literal too long: more than 20000 digits")
+    return F(_digit_by_digit(num), _digit_by_digit(den) if den else 1)
 
 
 def _parse_outcome(parse, value):
@@ -117,8 +130,9 @@ _OVERSIZE = "7" * 4301
 
 class TestParserMatchesTwoParserPath:
     """parse_rational matches one regex and builds the Fraction from its
-    integer groups; it must agree with the regex-then-Fraction(str) path
-    on value, error type and error message."""
+    integer groups, read in chunks past the interpreter's int-string digit
+    limit; it must agree with the regex-then-digit-by-digit path on value,
+    error type and error message."""
 
     @pytest.mark.parametrize(
         "value",
@@ -141,6 +155,20 @@ class TestParserMatchesTwoParserPath:
         ],
     )
     def test_same_outcome(self, value):
+        assert _parse_outcome(parse_rational, value) == _parse_outcome(_reference_parse, value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "7" * 20_000, "-" + "7" * 20_000, "+" + "0" * 20_000, "7" * 20_001,
+            "-" + "7" * 20_001, "1/" + "3" * 20_000, "1/" + "3" * 20_001,
+            "7" * 20_001 + "/3", "\u0663" * 20_001, " " + "7" * 19_999 + "/" + "1" * 20_000 + "\n",
+        ],
+        ids=["num", "negative", "zeros", "num-over", "negative-over", "den", "den-over",
+             "num-over-den", "non-ascii-over", "both-padded"],
+    )
+    def test_same_outcome_at_the_digit_bound(self, value):
+        # the reader's bound of 20,000 digits on each integer, sign not counted
         assert _parse_outcome(parse_rational, value) == _parse_outcome(_reference_parse, value)
 
     def test_zero_is_shared(self):
@@ -389,6 +417,83 @@ class TestConvolveKernel:
         b = _operand(rng, 12, "coprime")
         assert _convolve_as_fractions(a, b) == _reference_convolve(a, b)
         assert _convolve_as_fractions(b, a) == _reference_convolve(b, a)
+
+
+def _reference_int_convolve(a, b):
+    """The truncated product of two integer vectors by the double loop."""
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _int_operand(rng, n, kind):
+    """n+1 integers of 1 to 600 bits and either sign, zero where kind says."""
+
+    def entry():
+        return rng.choice([-1, 1]) * (rng.getrandbits(rng.randint(1, 600)) | 1)
+
+    if kind == "one-piece":
+        out = [0] * (n + 1)
+        out[rng.randint(0, n)] = entry()
+        return tuple(out)
+    share = {"zero": 0, "sparse": 0.25, "mixed": 0.6, "dense": 1}[kind]
+    return tuple(entry() if rng.random() < share else 0 for _ in range(n + 1))
+
+
+_KINDS = ("one-piece", "sparse", "mixed", "dense", "zero")
+_SIZES = (0, 1, 2, 7, 8, 11, 12, 13, 16, 24, 120)  # both sides of _DENSE_MIN_N = 12
+
+
+class TestConvolveSelection:
+    """_convolve sums in C two operands with few zeros from n = 12 on, and
+    skips zeros otherwise; both ways give the double loop's integers."""
+
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_matches_double_loop(self, n):
+        rng = random.Random(n)
+        for kind_a in _KINDS:
+            for kind_b in _KINDS:
+                a, b = _int_operand(rng, n, kind_a), _int_operand(rng, n, kind_b)
+                assert _convolve(a, b) == _reference_int_convolve(a, b), (kind_a, kind_b)
+                assert _convolve(b, a) == _reference_int_convolve(b, a), (kind_b, kind_a)
+
+    @pytest.mark.parametrize(
+        "n,zeros_a,zeros_b,summed",
+        [
+            (8, 0, 0, False), (11, 0, 0, False), (12, 0, 0, True), (120, 0, 0, True),
+            (19, 4, 0, True), (19, 0, 4, True), (19, 5, 0, False), (19, 2, 2, True),
+            (19, 3, 2, False), (18, 4, 0, False), (24, 25, 0, False), (120, 121, 121, False),
+        ],
+    )
+    def test_rule(self, monkeypatch, n, zeros_a, zeros_b, summed):
+        # the C sum is the one path that calls operator.mul
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return x * y
+
+        monkeypatch.setattr(chow, "mul", counted)
+        a = [0] * zeros_a + [2 + k for k in range(n + 1 - zeros_a)]
+        b = [3 + k for k in range(n + 1 - zeros_b)] + [0] * zeros_b
+        assert _convolve(a, b) == _reference_int_convolve(a, b)
+        assert bool(calls) is summed
+
+    @pytest.mark.parametrize("n", [12, 24, 120])
+    def test_cap_same_on_both_paths(self, monkeypatch, n):
+        rng = random.Random(f"cap-{n}")
+        series = HSeries._reduce(n, _int_operand(rng, n, "dense"), 3**n)
+        for cls in (tangent_chern(n).cap(C(n, *[F(k + 1, 7) for k in range(n + 1)])),
+                    GradedClass._reduce(n, _int_operand(rng, n, "dense"), 10**5)):
+            summed = series.cap(cls)
+            monkeypatch.setattr(chow, "_DENSE_MIN_N", n + 1)
+            looped = series.cap(cls)
+            monkeypatch.undo()
+            assert summed == looped and hash(summed) == hash(looped)
+            assert summed.to_json() == looped.to_json()
 
 
 def _reference_chern(degree, n, power):
@@ -777,6 +882,117 @@ class TestJsonWireForms:
             assert got.to_json()[key] == [
                 "1/2", "0", "0", "9", "3", "-7", "0", "1/2", "-1/6", "2/3"
             ]
+
+
+def _reader_outcome(read):
+    """(nums, den) of the class read, or the type and text of its refusal."""
+    try:
+        got = read()
+    except Exception as exc:  # the outcome is compared, not raised
+        return type(exc), str(exc)
+    return got._nums, got._den
+
+
+_ODD_ENTRIES = [
+    "0", "00", "-0", "+7", " 7\n", "\u0663", "1_0", "", "3/4", "6/4", "1/0",
+    "7" * 4301, "-" + "3" * 4301 + "/7", "1/" + "9" * 4301,
+]
+_INTEGER_LITERALS = st.integers(-(10**40), 10**40).map(str) | st.sampled_from(_ODD_ENTRIES[:6])
+_ODD_OR_NOT_STR = (
+    st.sampled_from(_ODD_ENTRIES) | st.integers(-(10**40), 10**40) | st.booleans()
+    | st.floats(allow_nan=False) | st.none()
+)
+
+
+@st.composite
+def _wire_lists(draw):
+    """Integer literals alone, with one odd entry among them, or a free mix."""
+    values = draw(st.lists(_INTEGER_LITERALS, min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["integers", "one odd", "mix"]))
+    if kind == "one odd":
+        values.insert(draw(st.integers(0, len(values))), draw(_ODD_OR_NOT_STR))
+    elif kind == "mix":
+        values = draw(st.lists(_INTEGER_LITERALS | _ODD_OR_NOT_STR, min_size=1, max_size=8))
+    return values
+
+
+class TestWireReader:
+    """from_json reads a list of integer literals in one int pass and every
+    other list entry by entry; both must give what the per-entry path gives."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.sampled_from([HSeries, GradedClass]), _wire_lists())
+    @example(GradedClass, ["1_0"])
+    @example(HSeries, ["3", "-0", "1_0", " 7\n"])
+    @example(GradedClass, ["4", "6/4", "0"])
+    @example(HSeries, ["4", "", "1/0"])
+    def test_matches_per_entry_path(self, cls, values):
+        n = len(values) - 1
+
+        def per_entry():
+            return cls._reduce(n, *chow._gather([chow._literal(v) for v in values]))
+
+        got = _reader_outcome(lambda: cls.from_json({"ambient_dim": n, cls._wire_key: values}))
+        assert got == _reader_outcome(per_entry)
+
+    def test_integer_list_read_in_one_pass(self, monkeypatch):
+        def per_entry(value):
+            raise AssertionError(f"{value!r} read entry by entry")
+
+        want = C(7, 0, 4, -7, 10, 3, 3, 0, 12)
+        monkeypatch.setattr(chow, "_literal", per_entry)
+        values = ["0", "4", "-7", " 10\n", "+3", "\u0663", "-0", "0" * 4200 + "12"]
+        assert GradedClass.from_json({"ambient_dim": 7, "coeffs_by_codim": values}) == want
+        with pytest.raises(AssertionError, match="'1/2' read entry by entry"):
+            GradedClass.from_json({"ambient_dim": 1, "coeffs_by_codim": ["1/2", "4"]})
+
+    @pytest.mark.parametrize("cls", [HSeries, GradedClass])
+    @pytest.mark.parametrize(
+        "entry",
+        [10**5000 + 7, -(10**5000) - 7, F(10**5000 + 7, 3**40), F(-3, 10**5000 + 9)],
+        ids=["num", "negative", "num-over-den", "den"],
+    )
+    def test_round_trip_past_digit_limit(self, cls, entry):
+        # 5,001 digits: written in chunks by _digits, read back in chunks
+        value = cls(5, [0, 3, -4, 0, entry, F(1, 7)])
+        wire = value.to_json()
+        assert max(map(len, wire[cls._wire_key])) > 5000
+        assert cls.from_json(wire) == value
+
+    def test_published_round_trip(self):
+        value = GradedClass(5, [0, 3, -4, 0, 10**5000 + 7, 0])
+        assert GradedClass.from_json(value.to_json()) == value
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["7" * 20_001, "-" + "7" * 20_001, "1/" + "3" * 20_001, "0" * 20_001],
+        ids=["num", "negative", "den", "zeros"],
+    )
+    def test_refused_past_digit_bound(self, entry):
+        values = ["1", "0", entry, "5"]
+        for cls in (HSeries, GradedClass):
+            with pytest.raises(InputParseError, match="^rational literal too long: more than 20000"):
+                cls.from_json({"ambient_dim": 3, cls._wire_key: values})
+
+    def test_bound_holds_with_no_interpreter_limit(self):
+        # with the int-string limit switched off, int() would read any
+        # length; the one-pass reader must refuse past the bound all the same
+        code = (
+            "from csmcalc.chow import GradedClass\n"
+            "from csmcalc.errors import InputParseError\n"
+            "for n in (20_000, 20_001):\n"
+            "    try:\n"
+            "        c = GradedClass.from_json({'ambient_dim': 1, 'coeffs_by_codim': ['7' * n, '1']})\n"
+            "        print(len(str(c._nums[0])))\n"
+            "    except InputParseError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0", "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.stdout.splitlines() == [
+            "20000", "rational literal too long: more than 20000 digits"
+        ], done.stderr
 
 
 HALF = "coeffs=(Fraction(1, 1), Fraction(1, 2), Fraction(0, 1))"

@@ -262,7 +262,7 @@ class TestScenarioCommand:
             0, "c_fulton = 4[P^2] + 24[P^0]\n"
         )
         assert invoke(capsys, "fulton", "--n", "2.0", "--d", "4")[0] == 2
-        assert invoke(capsys, "fulton", "--n", "7" * 5000, "--d", "4")[0] == 2
+        assert invoke(capsys, "fulton", "--n", "7" * 20_001, "--d", "4")[0] == 2
 
     def test_integer_flags_strip_spaces_but_take_no_slash(self, capsys):
         assert invoke(capsys, "fulton", "--n", " 3 ", "--d", "4")[:2] == (
@@ -354,11 +354,20 @@ class TestExitCodes:
         assert "bad JSON" in err
 
     def test_oversize_literal_is_parse_error(self, capsys):
-        # past the interpreter's 4,300-digit limit on int-string conversion
-        assert run(["fulton", "--n", "3", "--d", "7" * 5000]) == 2
-        assert run(["multiplicities", "--chi", "7" * 5000, "--eu", "2",
+        # past the reader's bound of 20,000 digits on one integer
+        assert run(["fulton", "--n", "3", "--d", "7" * 20_001]) == 2
+        assert run(["multiplicities", "--chi", "7" * 20_001, "--eu", "2",
                     "--dim-x", "2", "--dim-y", "1"]) == 2
         assert "rational literal too long" in capsys.readouterr().err
+
+    def test_spec_entry_past_digit_bound_is_parse_error(self, capsys):
+        # 5,001 digits read in chunks; 20,001 digits are refused before any conversion
+        for digits, code in ((5001, 0), (20_001, 2)):
+            spec = json.loads(SPEC_JSON)
+            spec["polar"]["1"]["coeffs_by_codim"][2] = "9" * digits
+            got, out, err = invoke(capsys, "polar-total", "--spec", json.dumps(spec))
+            assert got == code, err
+            assert ("rational literal too long: more than 20000 digits" in err) == (code == 2)
 
     def test_answer_past_digit_limit_is_printed(self, capsys):
         # d = 10^3000 - 1 parses; c_fulton = d[P^1] - d(d - 3)[P^0] does not

@@ -72,6 +72,8 @@ COMPARE = {
 BOOLEAN = {ast.And: (r"\band\b", "or", ast.Or), ast.Or: (r"\bor\b", "and", ast.And)}
 
 _SWEEP = "the fitted quadratics are exact, so every weight of the sweep agrees, this one too"
+_READ_PATH = ("speed only: an entry of at most _MAX_DIGITS digits reads to the same number "
+              "in the one int pass and entry by entry")
 
 # Survivors that compute exactly what the original computes, by (file,
 # function, source of the mutated node, mutation, how many earlier sites of
@@ -88,7 +90,14 @@ EQUIVALENT = {
     ("charclass.py", "HypersurfaceSpec._fill", "(0, 1)", "1 → 2", 0):
         "an absent polar class is 0 over any q > 0: the spec's one gcd takes q out again",
     ("chow.py", "<module>", "_CHUNK_DIGITS = 600", "600 → 601", 0):
-        "_CHUNK_DIGITS: any chunk width below the int-string limit prints the same digits",
+        "_CHUNK_DIGITS: any chunk width below the int-string limit prints and reads the same digits",
+    ("chow.py", "_CoeffVector._wire_nums", "len(text) <= _MAX_DIGITS", "<= → <", 0):
+        _READ_PATH,
+    ("chow.py", "_CoeffVector._wire_nums", "max(map(len, values)) <= _MAX_DIGITS", "<= → <", 0):
+        _READ_PATH,
+    ("chow.py", "_CoeffVector._wire_nums",
+     "len(text) <= _MAX_DIGITS or max(map(len, values)) <= _MAX_DIGITS", "or → and", 0):
+        _READ_PATH,
     ("chow.py", "_digits", "value < 0", "< → <=", 0):
         "the chunked path is reached only past the digit limit, where value is not 0",
     ("chow.py", "_digits", "value < 0", "0 → 1", 0):
