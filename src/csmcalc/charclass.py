@@ -49,6 +49,7 @@ from .chow import (
     _check_ambient_dim,
     _check_int,
     _check_keys,
+    _digits,
     _encode,
     _gather,
 )
@@ -149,6 +150,14 @@ def _polar_entries(polar):  # (index, ambient_dim, numerators, denominator) per 
         yield k, p.ambient_dim, p._nums, p._den
 
 
+_SHOWN_DIGITS = 20  # the most digits of a polar key or index that a message echoes
+
+
+def _brief(digits: str, show=str) -> str:
+    """A decimal string as a message shows it: show(digits), or its length past _SHOWN_DIGITS."""
+    return show(digits) if len(digits) <= _SHOWN_DIGITS else f"of {len(digits)} digits"
+
+
 class HypersurfaceSpec(_Value):
     """Polar-class data for a dimension-r subvariety X of P^n.
 
@@ -176,7 +185,7 @@ class HypersurfaceSpec(_Value):
         values = [(0, 1)] * (r + 1)
         for k, m, nums, den in entries:
             if k > r:
-                raise ValidationError(f"polar class index {k} exceeds dim X = {r}")
+                raise ValidationError(f"polar class index {_brief(_digits(k))} exceeds dim X = {r}")
             if m != n:
                 raise DimensionMismatchError(f"polar class {k} lives on P^{m}, spec declares P^{n}")
             c = n - r + k
@@ -241,10 +250,12 @@ class HypersurfaceSpec(_Value):
                 raise InputParseError(f"polar key {key!r} is not a polar index")
             try:
                 index = int(key)
-            except ValueError as exc:  # past the int-string digit limit: exit 2
-                raise InputParseError(f"rational literal too long: {exc}") from exc
+            except ValueError:  # past the int-string digit limit: exit 2
+                too_long = f"rational literal too long: polar key {_brief(key)}"
+                raise InputParseError(too_long) from None
             if index in entries:  # "1", "01" and "\u0661" name one index
-                raise InputParseError(f"polar key {key!r} repeats polar index {index}")
+                shown = _brief(key, repr)
+                raise InputParseError(f"polar key {shown} repeats polar index {_brief(str(index))}")
             entries[index] = index, *GradedClass._wire_nums(value)
         tangent = HSeries.from_json(data["ambient_tangent"]) if "ambient_tangent" in data else None
         return cls.__new__(cls)._fill(n, r, parse_rational(data["d"]), entries.values(), tangent)

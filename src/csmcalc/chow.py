@@ -188,6 +188,8 @@ def _gather(pairs) -> tuple[list[int], int]:
 
 
 _DENSE_MIN_N = 12  # below it the zero-skipping loop is about as fast on dense operands
+_DENSE_DEGREE_BITS = 16  # a wider twist degree p/q divides and multiplies more than it saves
+_TABLE_MAX_N = 240  # a twist table holds n^2/2 binomials: at most 2.2 MiB for n <= 240, |e| <= 2n
 
 
 def _convolve(a, b) -> list[int]:
@@ -224,6 +226,18 @@ def _binomials(e, count) -> list[int]:
         out.append(b)
         b = b * (e - i) // (i + 1)
     return out
+
+
+@lru_cache(maxsize=8)  # about 13 KiB at n = 24, 0.3 MiB at n = 120, 1.4-2.2 MiB at n = 240
+def _twist_table(n, e) -> tuple[tuple[int, ...], ...]:
+    """The dense twist's binomials by column: column j holds C(e-k, j-k)
+    for k = 0, ..., j, each from column j-1's by the exact integer step
+    C(a, i+1) = C(a, i) * (a-i) // (i+1), with a - i = e-j+1, and C(e-j, 0) = 1."""
+    column, table = (), []
+    for j in range(n + 1):
+        column = (*(b * (e - j + 1) // (j - k) for k, b in enumerate(column)), 1)
+        table.append(column)
+    return tuple(table)
 
 
 def _alternate(coeffs, shift=0) -> tuple:
@@ -539,12 +553,24 @@ class GradedClass(_CoeffVector):
 
         The piece of dimension p is multiplied by c(L)^(p-m), i.e. by
         (1 + lambda*H) to the power minus its codimension in M.  The
-        result is regraded and truncated beyond codimension n.
+        result is regraded and truncated beyond codimension n: with
+        e = n - m, entry j is the sum over k <= j of a_k * C(e-k, j-k) *
+        lambda^(j-k).  Computed on integers, with lambda = p/q and piece
+        a_k = N_k/den, over den * q^n, in one of two ways:
 
-        Computed on integers: with lambda = p/q and piece a_k = A_k/den,
-        A_k * C(e, i) * p^i * q^(n-i) is added to entry k+i, e = n-k-m,
-        over den * q^n.  Piece k's binomial row is piece k-1's stepped by Pascal's
-        rule C(e-1, i) = C(e, i) - C(e-1, i-1) if piece k-1 is nonzero, else fresh.
+        - A class with few zero pieces (at most (n+1)/5) for _DENSE_MIN_N
+          <= n <= _TABLE_MAX_N and |e| <= 2n, which bound the cached table,
+          and lambda != 0 with p and q of at most _DENSE_DEGREE_BITS bits,
+          is summed in C like a dense cap:
+          lambda^(j-k) = lambda^j * lambda^(-k), so with A_k = N_k * q^k *
+          p^(n-k) entry j is sum(map(mul, A, column j of _twist_table(n, e)))
+          divided exactly by p^(n-j) and times q^(n-j); A = N when lambda = 1.
+          Those operands grow with p and q, and the divisions grow with p
+          squared: past the bound the row loop is faster.
+        - Any other class adds N_k * C(e-k, i) * p^i * q^(n-i) to entry k+i
+          for each nonzero piece k.  Piece k's binomial row is piece k-1's
+          stepped by Pascal's rule C(e-1, i) = C(e, i) - C(e-1, i-1) if
+          piece k-1 is nonzero, else fresh; zero pieces cost nothing.
         """
         if not isinstance(bundle, LineBundleOnPn):
             raise ValidationError(
@@ -553,13 +579,26 @@ class GradedClass(_CoeffVector):
         n = self.ambient_dim
         m = self._relative_dim(relative_dim)
         p, q = bundle.degree.numerator, bundle.degree.denominator
+        nums = self._nums
         scale = [p**i * q ** (n - i) for i in range(n + 1)]
+        narrow = 0 < p.bit_length() <= _DENSE_DEGREE_BITS and q.bit_length() <= _DENSE_DEGREE_BITS
+        tabled = _DENSE_MIN_N <= n <= _TABLE_MAX_N and abs(n - m) <= 2 * n
+        if narrow and tabled and 5 * nums.count(0) <= n + 1:
+            columns = _twist_table(n, n - m)
+            if p == q:  # lambda = 1: no scaling
+                return GradedClass._reduce(n, [sum(map(mul, nums, c)) for c in columns], self._den)
+            scaled = [*map(mul, nums, reversed(scale))]  # A_k = N_k * q^k * p^(n-k)
+            out = [
+                sum(map(mul, scaled, c)) // p ** (n - j) * q ** (n - j)
+                for j, c in enumerate(columns)
+            ]
+            return GradedClass._reduce(n, out, self._den * q**n)
         out = [0] * (n + 1)
-        for k, num in enumerate(self._nums):
+        for k, num in enumerate(nums):
             if not num:
                 continue
             # truncated at codimension n: the power is needed mod H^(n+1-k)
-            if k and self._nums[k - 1]:
+            if k and nums[k - 1]:
                 c = 0
                 row = [c := b - c for b in row[:-1]]
             else:

@@ -5,8 +5,9 @@ dispatches to the exact engine, and renders results either as a short
 table (classes printed highest dimension first) or as JSON that can be
 piped straight back in.  All configuration is by flags; exit codes are
 0 success, 1 failing scenario, 2 parse, 3 validation, 4 degenerate
-invariants, 5 inconsistent system, 6 internal error; where the platform
-has SIGPIPE, ``main`` ends by it when standard output is a closed pipe.
+invariants, 5 inconsistent system, 6 internal error, 7 a failed write to
+standard output (a full disk); where the platform has SIGPIPE, ``main``
+ends by it when standard output is a closed pipe.
 
 The subcommands are one table in ``_build_parser``: a name, help, a
 compute function returning ``(inputs, results)`` and the arguments.  One
@@ -21,18 +22,41 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 
 from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
 from .chow import GradedClass, _encode, _render, parse_rational
-from .errors import INTERNAL_ERROR_EXIT, CharClassError, InputParseError, ValidationError
+from .errors import (
+    INTERNAL_ERROR_EXIT,
+    OUTPUT_ERROR_EXIT,
+    CharClassError,
+    InputParseError,
+    ValidationError,
+)
 
 # sorted(scenarios.SCENARIOS), spelled out so that --help needs no scenarios import
 _SCENARIO_NAMES = ("cone-over-nodal-curve", "smooth-hypersurface", "tangent-developable")
 # the flags _load_source reads, by dest: "-" (stdin) may feed one of them only
 _SOURCES = ("spec", "invariants", "normal", "segre", "lhs", "cy")
+
+
+class _OutputError(CharClassError):
+    """A write to standard output failed: the environment's fault, not a defect."""
+
+    exit_code = OUTPUT_ERROR_EXIT
+
+
+def _emit(text: str) -> None:
+    """Print text and flush standard output, so that a buffered write fails
+    here as an unbuffered one does; an OSError of either is _OutputError."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(f"cannot write output: {exc.strerror or exc}") from exc
 
 
 def _load_source(value: str) -> dict:
@@ -176,10 +200,8 @@ def _cmd_run_scenario(args) -> int:
     from . import scenarios  # only here: its import is a cost every other command skips
 
     report = scenarios.run_scenario(args.name, **_parse_params(args.param))
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.render_table())
+    json_mode = args.format == "json"
+    _emit(json.dumps(report.to_json(), indent=2) if json_mode else report.render_table())
     return 0 if report.passed else 1
 
 
@@ -208,10 +230,9 @@ def _dispatch(args) -> int:
     else:
         inputs, results = args.compute(args)
     if args.format == "json":
-        print(json.dumps(_encode({"inputs": inputs, **results}), indent=2))
+        _emit(json.dumps(_encode({"inputs": inputs, **results}), indent=2))
     else:
-        for key, value in results.items():
-            print(f"{key} = {_pairs(value)}")
+        _emit("\n".join(f"{key} = {_pairs(value)}" for key, value in results.items()))
     return 0
 
 
@@ -292,7 +313,11 @@ def run(argv=None) -> int:
 def main() -> None:
     if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process, as it ends other filters
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    raise SystemExit(run())
+    code = run()
+    if code == OUTPUT_ERROR_EXIT:  # stdout still holds what it could not write: send it to
+        # the null device, or the interpreter's flush at exit fails again and exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@ Every error carries the process exit code used by the command-line front
 end: 2 parse, 3 validation, 4 degenerate invariants, 5 inconsistent system.
 Any other exception escaping a subcommand is a defect in the package; the
 front end reports it on one line, ``error: internal: <Type>: <message>``,
-and exits with INTERNAL_ERROR_EXIT (6).
+and exits with INTERNAL_ERROR_EXIT (6).  A write to standard output that
+fails (a full disk) is no defect: the front end reports it as ``error:
+cannot write output: <reason>`` and exits with OUTPUT_ERROR_EXIT (7).
 """
 
 INTERNAL_ERROR_EXIT = 6
+OUTPUT_ERROR_EXIT = 7
 
 
 class CharClassError(Exception):

@@ -496,6 +496,85 @@ class TestConvolveSelection:
             assert summed.to_json() == looped.to_json()
 
 
+_TWIST_DEGREES = [F(1), F(-1), F(4), F(7, 2), F(-5, 3), F(1, 9), F(10**200 + 1)]
+
+
+class TestTwistSelection:
+    """twist sums in C a class with few zero pieces from n = 12 on, for a
+    nonzero degree p/q of at most 16-bit p and q, by one cached binomial
+    table per (n, e = n - m) for n <= 240 and |e| <= 2n; everything else
+    keeps the row loop.  Both ways give the same integers."""
+
+    @pytest.mark.parametrize(
+        "n,zeros,degree,e,summed",
+        [
+            (11, 0, F(1), 1, False), (12, 0, F(1), 1, True), (12, 0, F(7, 2), 1, True),
+            (24, 5, F(1), 1, True), (24, 6, F(1), 1, False), (24, 5, F(-5, 3), 1, True),
+            (24, 6, F(-5, 3), 1, False), (120, 24, F(4), 1, True), (120, 25, F(4), 1, False),
+            (13, 3, F(1), 1, False), (14, 3, F(1), 1, True), (24, 0, F(0), 1, False),
+            (120, 0, F(0), 1, False),
+            (24, 0, F(2**16 - 1), 1, True), (24, 0, F(-(2**16)), 1, False),
+            (24, 0, F(2, 2**16 - 1), 1, True), (24, 0, F(3, 2**16), 1, False),  # 2**16 - 1 is odd
+            # the table is cached for n <= 240 and |e| <= 2n only
+            (240, 0, F(-2, 3), 0, True), (241, 0, F(-2, 3), 0, False), (24, 0, F(-2, 3), 48, True),
+            (24, 0, F(-2, 3), 49, False), (24, 0, F(-2, 3), -48, True),
+            (24, 0, F(-2, 3), -49, False),
+        ],
+    )
+    def test_rule(self, monkeypatch, n, zeros, degree, e, summed):
+        # the dense path is the one that calls operator.mul
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return x * y
+
+        a = [2 + k for k in range(n + 1)]
+        for i in range(zeros):  # spread over the class, first piece included
+            a[i * (n + 1) // zeros] = 0
+        cls, bundle = GradedClass._reduce(n, a, 5), LineBundleOnPn(degree)
+        monkeypatch.setattr(chow, "_DENSE_MIN_N", n + 1)
+        looped = cls.twist(bundle, n - e)
+        monkeypatch.undo()
+        monkeypatch.setattr(chow, "mul", counted)
+        assert cls.twist(bundle, n - e) == looped
+        assert bool(calls) is summed
+
+    @pytest.mark.parametrize("n", [12, 24, 120])
+    def test_same_on_both_paths(self, monkeypatch, n):
+        rng = random.Random(f"twist-{n}")
+        integer = GradedClass._reduce(n, _int_operand(rng, n, "dense"), 1)
+        signs = [rng.choice((-1, 1)) for _ in range(n + 1)]
+        rational = GradedClass(n, [F(s * rng.randint(1, 99), rng.randint(1, 30)) for s in signs])
+        for cls in (integer, rational):
+            # 10^200 + 1 is summed only with the degree bound lifted, and at
+            # n = 120 its 24,000-digit entries take seconds: left out there
+            for degree in _TWIST_DEGREES if n < 120 else _TWIST_DEGREES[:-1]:
+                bundle = LineBundleOnPn(degree)
+                for m in (n, n - 1, n + 2, 0, -3):
+                    monkeypatch.setattr(chow, "_DENSE_DEGREE_BITS", 700)
+                    summed = cls.twist(bundle, m)
+                    monkeypatch.setattr(chow, "_DENSE_MIN_N", n + 1)
+                    looped = cls.twist(bundle, m)
+                    monkeypatch.undo()
+                    assert summed == looped and hash(summed) == hash(looped), (degree, m)
+                    assert summed.to_json() == looped.to_json(), (degree, m)
+
+    def test_table_cache_is_bounded(self):
+        GradedClass._reduce(24, range(1, 26), 1).twist(LineBundleOnPn(3), 20)
+        assert chow._twist_table.cache_info().maxsize == 8
+        # the largest table the twist builds: eight of them hold under 18 MiB
+        table = chow._twist_table.__wrapped__(chow._TABLE_MAX_N, -2 * chow._TABLE_MAX_N)
+        held = sys.getsizeof(table) + sum(
+            sys.getsizeof(column) + sum(map(sys.getsizeof, column)) for column in table
+        )
+        assert held < 2.2 * 2**20
+        table = chow._twist_table(24, 4)
+        assert type(table) is tuple and all(type(column) is tuple for column in table)
+        assert [len(column) for column in table] == list(range(1, 26))
+        assert table[3] == (math.comb(4, 3), math.comb(3, 2), math.comb(2, 1), 1)
+
+
 def _reference_chern(degree, n, power):
     """(1 + degree*H)^power mod H^(n+1) by the Fraction recurrence
     a_k = a_{k-1} * (power - k + 1) * degree / k."""

@@ -1,5 +1,6 @@
 """Command-line behavior: dispatch, rendering, exit codes, round-trips."""
 
+import errno
 import io
 import json
 import os
@@ -458,6 +459,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "rational literal too long" in err
 
+    @pytest.mark.parametrize(
+        "key,code,message",
+        [
+            ("7" * 20, 3, f"polar class index {'7' * 20} exceeds dim X = 2"),
+            ("7" * 21, 3, "polar class index of 21 digits exceeds dim X = 2"),
+            ("7" * 30, 3, "polar class index of 30 digits exceeds dim X = 2"),
+            ("7" * 4000, 3, "polar class index of 4000 digits exceeds dim X = 2"),
+            ("7" * 5000, 2, "rational literal too long: polar key of 5000 digits"),
+            ("0" * 19 + "1", 2, f"polar key '{'0' * 19}1' repeats polar index 1"),
+            ("0" * 20 + "1", 2, "polar key of 21 digits repeats polar index 1"),
+        ],
+        ids=["20", "21", "30", "4000", "5000", "repeat-20", "repeat-21"],
+    )
+    def test_long_polar_key_named_by_its_length(self, capsys, key, code, message):
+        # no index is echoed past 20 digits, and no advice of the interpreter's
+        bad = json.loads(SPEC_JSON)
+        bad["polar"][key] = bad["polar"]["1"]
+        got, out, err = invoke(capsys, "polar-total", "--spec", json.dumps(bad))
+        assert (got, out, err) == (code, "", f"error: {message}\n")
+
     def test_input_that_is_not_utf8_is_parse_error(self, tmp_path, monkeypatch, capsys):
         raw = SPEC_JSON.encode().replace(b'"r"', b'"r\xff"')
         path = tmp_path / "spec.json"
@@ -698,3 +719,46 @@ def test_closed_stdout_ends_the_cli_by_sigpipe():
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
+
+
+class _FullStdout(io.StringIO):
+    """A standard output on a full disk: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFailedWrite:
+    """A write to standard output that fails is the environment's fault: exit
+    7 with the reason, not the internal-error exit 6."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("fulton", "--n", "3", "--d", "4"), ("fulton", "--n", "3", "--d", "4", "--format", "json"),
+         ("run-scenario", "tangent-developable")],
+        ids=["table", "json", "scenario"],
+    )
+    def test_in_process(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        code = run(list(argv))
+        reason = os.strerror(errno.ENOSPC)
+        assert (code, capsys.readouterr().err) == (7, f"error: cannot write output: {reason}\n")
+        assert cli.OUTPUT_ERROR_EXIT == 7
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the platform has no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_dev_full(self, unbuffered):
+        src = str(Path(csmcalc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        # buffered only without PYTHONUNBUFFERED: then stdout keeps the bytes it
+        # could not write, and the interpreter flushes them again at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = path
+        flags = ["-u"] if unbuffered else []
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "csmcalc.cli", "fulton", "--n", "3", "--d", "4"],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        reason = os.strerror(errno.ENOSPC).encode()
+        assert (proc.returncode, proc.stderr) == (7, b"error: cannot write output: " + reason + b"\n")

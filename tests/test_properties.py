@@ -321,6 +321,44 @@ class TestConesOverSmoothHypersurfaces:
         assert [_cone_vertex_eu(2, d) for d in (2, 3, 4, 7)] == [2, 3, 4, 7]
 
 
+def _linear_vertex_cases():
+    """(n, k, d): every k >= 1 for n <= 16, d in {2, 3, 4}; three k at n = 40, 120."""
+    small = [(n, k, d) for n in range(3, 17) for k in range(1, n - 1) for d in (2, 3, 4)]
+    large = [(n, k, d) for n in (40, 120) for k in (1, n // 2, n - 2) for d in (2, 3)]
+    return small + large
+
+
+class TestConesWithALinearVertex:
+    """X in P^n, the cone with vertex L = P^k over a smooth degree-d Y in P^m,
+    m = n-k-1: [P_j] = d(d-1)^j [P^(n-1-j)] for j <= m-1.  Its singular
+    locus L is smooth and the transversal type, the affine cone over Y, is
+    constant along it, so the paper's theorem applies: the solver must read
+    the geometry's own (Eu, chi) off the engine's (1+X)(c_Ma - c_F), and the
+    degrees are chi(Y) + k + 1 for c_SM and chi(Y) + (k+1) Eu for c_Ma.
+    From n = 12 on these dense classes take the dense twist on every route."""
+
+    def test_solver_routes_and_degrees(self):
+        for n, k, d in _linear_vertex_cases():
+            m = n - k - 1
+            spec = HypersurfaceSpec(
+                n, n - 1, F(d), {j: GradedClass.single(n, 1 + j, d * (d - 1) ** j) for j in range(m)}
+            )
+            chi, eu = 1 + (-1) ** m * (d - 1) ** (m + 1), _cone_vertex_eu(m + 1, d)
+            c_y = GradedClass.from_coeffs(n, [0] * (n - k) + [comb(k + 1, i) for i in range(k + 1)])
+            c_fulton, c_mather = cc.fulton_class(n, d), cc.mather_from_polar(spec)
+            case = (n, k, d)
+            assert cc.solve_invariants(cc.solver_lhs(c_mather, c_fulton, d), c_y, d) == (eu, chi), case
+            inv = InvariantData(chi, eu)
+            s_yx = cc.segre_from_polar(spec, BundleData.line(n, d))
+            assert c_mather == cc.mather_double_sum(spec) == cc.mather_from_segre(s_yx, n, d), case
+            c_sm = cc.csm_from_polar(spec, inv)
+            assert c_sm == cc.csm_from_interpolation(c_fulton, c_mather, d, inv), case
+            assert c_sm == cc.csm_from_segre(cc.segre_yx_to_ym(s_yx, d, inv), n, d), case
+            chi_y = euler_smooth_hypersurface(m, d)
+            assert c_sm.degree_zero_part() == chi_y + k + 1, case
+            assert c_mather.degree_zero_part() == chi_y + (k + 1) * eu, case
+
+
 class TestIdentitiesAtLargeN:
     """The paper identities on P^7 .. P^60, under the bounded profile."""
 

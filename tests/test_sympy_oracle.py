@@ -83,6 +83,17 @@ def test_twist_with_relative_dim_matches_series(offset):
         assert twisted.coeffs == coeffs(expected, n)
 
 
+def test_dense_twist_matches_series():
+    # n = 24 with every piece nonzero and a rational degree: the dense path
+    n, lam, rng = 24, F(-7, 3), random.Random(24)
+    b = [F(rng.choice((-9, -4, 1, 5, 8)), rng.randint(1, 6)) for _ in range(n + 1)]
+    expected = sum(
+        (rs_mul(q(x) * H**k, rs_pow(1 + q(lam) * H, -k, H, n + 1), H, n + 1) for k, x in enumerate(b)),
+        R.zero,
+    )
+    assert GradedClass(n, tuple(b)).twist(LineBundleOnPn(lam)).coeffs == coeffs(expected, n)
+
+
 @pytest.mark.parametrize("d", [F(4), F(-7, 2)])
 def test_tangent_over_divisor_matches_series(d):
     # c(TP^n)/(1 + dH): the series behind the Fulton class
