@@ -188,8 +188,15 @@ def _gather(pairs) -> tuple[list[int], int]:
 
 
 _DENSE_MIN_N = 12  # below it the zero-skipping loop is about as fast on dense operands
+_PACK_MIN_N = 64  # below it a packed product loses to the C sums at 300 bits and more
+_PACK_MAX_BITS = 256  # largest entries' bits of both operands: past it the C sums win at n = 64
 _DENSE_DEGREE_BITS = 16  # a wider twist degree p/q divides and multiplies more than it saves
 _TABLE_MAX_N = 240  # a twist table holds n^2/2 binomials: at most 2.2 MiB for n <= 240, |e| <= 2n
+
+
+def _bits(v) -> int:
+    """The bit length of the largest |entry| of an integer vector."""
+    return max(max(v).bit_length(), min(v).bit_length())
 
 
 def _convolve(a, b) -> list[int]:
@@ -197,13 +204,18 @@ def _convolve(a, b) -> list[int]:
     entry k is the sum of a[i] * b[j] over i + j = k, for k <= n.
 
     Two operands with few zeros (at most (n+1)/5 between them) from n =
-    _DENSE_MIN_N on are summed in C, entry k as one sum(map(mul, ...)) of
-    a against b[k], ..., b[0]: map stops after those k+1 pairs.  Otherwise
-    the zeros of both operands are skipped, so the loop visits only pairs
-    of nonzero entries, whichever operand is the sparse one: one-piece,
-    sparse and small products are faster so."""
+    _DENSE_MIN_N on take one of two dense paths.  From n = _PACK_MIN_N on,
+    if the bit lengths of a's and b's largest entries sum to at most
+    _PACK_MAX_BITS, both are packed into one int each and multiplied once
+    (_packed_convolve).  Otherwise entry k is summed in C, as one
+    sum(map(mul, ...)) of a against b[k], ..., b[0]: map stops after those
+    k+1 pairs.  Any other operands skip the zeros of both, so the loop
+    visits only pairs of nonzero entries, whichever operand is the sparse
+    one: one-piece, sparse and small products are faster so."""
     n = len(a) - 1
     if n >= _DENSE_MIN_N and 5 * (a.count(0) + b.count(0)) <= n + 1:
+        if n >= _PACK_MIN_N and (bits := _bits(a) + _bits(b)) <= _PACK_MAX_BITS:
+            return _packed_convolve(a, b, bits)
         rb = b[::-1]
         return [sum(map(mul, a, rb[n - k :])) for k in range(n + 1)]
     inner = [(j, y) for j, y in enumerate(b) if y]
@@ -216,6 +228,30 @@ def _convolve(a, b) -> list[int]:
                 break
             out[i + j] += x * y
     return out
+
+
+def _packed_convolve(a, b, bits) -> list[int]:
+    """_convolve by one product of two ints (Kronecker substitution), for
+    largest entries of bits bit lengths summed.  With slots of w bytes and
+    X = 2^(8w), v packs to P(v) = sum of v[i] * X^i, and P(a) * P(b) holds
+    entry k of the product, below (n+1) * 2^bits <= X/2 in absolute value,
+    in slot k.  Signs take no Python pass: half has X/2 in each of the n+1
+    slots, and for |x| < X/2 flipping a slot's top bit turns x mod X into
+    x + X/2.  So P(v) is v's two's complement bytes XOR half, minus half;
+    the product plus half, masked to n+1 slots, XOR half, holds each entry
+    in two's complement."""
+    n = len(a) - 1
+    w = (bits + n.bit_length() + 8) // 8  # 8w - 1 >= bits + log2(n+1), rounded up
+    size = w * (n + 1)
+    half = int.from_bytes((bytes(w - 1) + b"\x80") * (n + 1), "little")
+
+    def pack(v):
+        data = b"".join([x.to_bytes(w, "little", signed=True) for x in v])
+        return (int.from_bytes(data, "little") ^ half) - half
+
+    low = ((pack(a) * pack(b) + half) & ((1 << 8 * size) - 1)) ^ half
+    data = low.to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, size, w)]
 
 
 def _binomials(e, count) -> list[int]:
@@ -317,8 +353,11 @@ class _CoeffVector(_Value):
 
     @classmethod
     def _reduce(cls, n, nums, den):
-        """A kernel result: nums over den > 0, brought to lowest terms by one gcd."""
-        g = gcd(den, *nums)
+        """A kernel result: nums over den > 0, brought to lowest terms by one gcd,
+        the top entry first: kernels over den * q^n leave entry k divisible by
+        q^(n-k), so the gcd falls to 1 soonest there and math.gcd only checks
+        the rest, while from entry 0 up it stays a power of q for about n steps."""
+        g = gcd(den, nums[-1], *nums)
         obj = cls.__new__(cls)
         obj._fill(n, tuple(nums) if g == 1 else tuple(x // g for x in nums), den // g)
         return obj

@@ -447,9 +447,33 @@ _KINDS = ("one-piece", "sparse", "mixed", "dense", "zero")
 _SIZES = (0, 1, 2, 7, 8, 11, 12, 13, 16, 24, 120)  # both sides of _DENSE_MIN_N = 12
 
 
+def _convolve_path(monkeypatch, a, b) -> str:
+    """Which of _convolve's three paths takes a and b: the C sum is the one
+    path that calls operator.mul, the packed one calls _packed_convolve."""
+    paths = []
+
+    def counted(x, y):
+        paths.append("summed")
+        return x * y
+
+    def packed(*args):
+        paths.append("packed")
+        return packed_convolve(*args)
+
+    packed_convolve = chow._packed_convolve
+    monkeypatch.setattr(chow, "mul", counted)
+    monkeypatch.setattr(chow, "_packed_convolve", packed)
+    got = _convolve(a, b)
+    monkeypatch.undo()
+    assert got == _reference_int_convolve(a, b)
+    return paths[0] if paths else "loop"
+
+
 class TestConvolveSelection:
-    """_convolve sums in C two operands with few zeros from n = 12 on, and
-    skips zeros otherwise; both ways give the double loop's integers."""
+    """_convolve packs two operands with few zeros from n = 64 on, when the
+    bit lengths of their largest entries sum to at most 256; it sums other
+    such operands in C from n = 12 on, and skips zeros otherwise.  All
+    three ways give the double loop's integers."""
 
     @pytest.mark.parametrize("n", _SIZES)
     def test_matches_double_loop(self, n):
@@ -463,37 +487,121 @@ class TestConvolveSelection:
     @pytest.mark.parametrize(
         "n,zeros_a,zeros_b,summed",
         [
-            (8, 0, 0, False), (11, 0, 0, False), (12, 0, 0, True), (120, 0, 0, True),
+            (8, 0, 0, False), (11, 0, 0, False), (12, 0, 0, True), (120, 0, 0, "packed"),
             (19, 4, 0, True), (19, 0, 4, True), (19, 5, 0, False), (19, 2, 2, True),
             (19, 3, 2, False), (18, 4, 0, False), (24, 25, 0, False), (120, 121, 121, False),
+            (63, 0, 0, True), (64, 0, 0, "packed"), (64, 13, 0, "packed"), (64, 7, 7, False),
         ],
     )
     def test_rule(self, monkeypatch, n, zeros_a, zeros_b, summed):
-        # the C sum is the one path that calls operator.mul
-        calls = []
-
-        def counted(x, y):
-            calls.append(1)
-            return x * y
-
-        monkeypatch.setattr(chow, "mul", counted)
+        # summed: True for the C sums, False for the loop, or "packed"
         a = [0] * zeros_a + [2 + k for k in range(n + 1 - zeros_a)]
         b = [3 + k for k in range(n + 1 - zeros_b)] + [0] * zeros_b
-        assert _convolve(a, b) == _reference_int_convolve(a, b)
-        assert bool(calls) is summed
+        path = {True: "summed", False: "loop"}.get(summed, summed)
+        assert _convolve_path(monkeypatch, a, b) == path
+
+    @pytest.mark.parametrize(
+        "n,bits,path",
+        [(64, 256, "packed"), (64, 257, "summed"), (240, 256, "packed"), (240, 257, "summed")],
+    )
+    def test_width_rule(self, monkeypatch, n, bits, path):
+        # packed for at most 256 bits of both operands' largest entries: a's
+        # largest takes the bits that b's, n + 3, leaves
+        a = [2 + k for k in range(n)] + [-(2 ** (bits - (n + 3).bit_length()) - 1)]
+        b = [3 + k for k in range(n + 1)]
+        assert _convolve_path(monkeypatch, a, b) == path
 
     @pytest.mark.parametrize("n", [12, 24, 120])
     def test_cap_same_on_both_paths(self, monkeypatch, n):
         rng = random.Random(f"cap-{n}")
-        series = HSeries._reduce(n, _int_operand(rng, n, "dense"), 3**n)
-        for cls in (tangent_chern(n).cap(C(n, *[F(k + 1, 7) for k in range(n + 1)])),
-                    GradedClass._reduce(n, _int_operand(rng, n, "dense"), 10**5)):
-            summed = series.cap(cls)
-            monkeypatch.setattr(chow, "_DENSE_MIN_N", n + 1)
-            looped = series.cap(cls)
-            monkeypatch.undo()
-            assert summed == looped and hash(summed) == hash(looped)
-            assert summed.to_json() == looped.to_json()
+        wide = HSeries._reduce(n, _int_operand(rng, n, "dense"), 3**n)
+        narrow = [rng.choice((-1, 1)) * rng.getrandbits(14) for _ in range(n + 1)]
+        pairs = [
+            (wide, tangent_chern(n).cap(C(n, *[F(k + 1, 7) for k in range(n + 1)]))),
+            (wide, GradedClass._reduce(n, _int_operand(rng, n, "dense"), 10**5)),
+            (tangent_chern(n), GradedClass._reduce(n, narrow, 11)),
+        ]
+        # all three paths, each forced for every dense pair, whatever its n and widths
+        forced = {
+            "loop": {"_DENSE_MIN_N": n + 1},
+            "summed": {"_PACK_MIN_N": n + 1},
+            "packed": {"_PACK_MIN_N": 0, "_PACK_MAX_BITS": 10**6},
+        }
+        for series, cls in pairs:
+            results = []
+            for constants in forced.values():
+                for name, value in constants.items():
+                    monkeypatch.setattr(chow, name, value)
+                results.append(series.cap(cls))
+                monkeypatch.undo()
+            assert results[0] == results[1] == results[2]
+            assert len({hash(r) for r in results}) == 1
+            assert results[0].to_json() == results[1].to_json() == results[2].to_json()
+        # the real n = 120 shape, a 14-bit class against c(TP^n), is packed
+        assert _convolve_path(monkeypatch, pairs[2][1]._nums, pairs[2][0]._nums) == (
+            "packed" if n == 120 else "summed"
+        )
+
+
+@st.composite
+def _narrow_operands(draw):
+    """Two integer vectors for the packed path and either side of its rule:
+    n at and around _PACK_MIN_N, largest entries of bits_a and bits_b bits
+    summed at, below or one past _PACK_MAX_BITS, zeros up to the density
+    edge and one past it, and each side positive, negative or mixed.
+    Extreme operands hold only their largest magnitude, so that every
+    output entry is as large as the widths allow."""
+    n = draw(st.sampled_from([chow._PACK_MIN_N - 1, chow._PACK_MIN_N, 120, 240]))
+    total = draw(st.sampled_from([chow._PACK_MAX_BITS, chow._PACK_MAX_BITS + 1])
+                 | st.integers(2, chow._PACK_MAX_BITS))
+    bits_a = draw(st.integers(1, total - 1))
+    zeros = draw(st.integers(0, (n + 1) // 5 + 1))  # one past the edge: the loop
+    zeros_a = draw(st.integers(0, zeros))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def operand(bits, zeros):
+        signs = draw(st.sampled_from(["positive", "negative", "mixed"]))
+        top = 2**bits - 1
+        if draw(st.booleans()):  # extreme
+            values = [top] * (n + 1)
+        else:
+            values = [rng.randint(1, top) for _ in range(n + 1)]
+            values[rng.randint(0, n)] = top
+        for k in rng.sample(range(n + 1), zeros):
+            values[k] = 0
+        if top not in values:  # the one entry pinned at top was zeroed
+            values[values.index(0)] = top
+        sign = {"positive": lambda: 1, "negative": lambda: -1,
+                "mixed": lambda: rng.choice((-1, 1))}[signs]
+        return [sign() * x for x in values]
+
+    return operand(bits_a, zeros_a), operand(total - bits_a, zeros - zeros_a)
+
+
+class TestPackedConvolve:
+    """The packed path against the double loop on operands near its rule's
+    edges: a slot too narrow by one bit shows on the extreme operands."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(_narrow_operands())
+    def test_matches_double_loop(self, operands):
+        a, b = operands
+        assert _convolve(a, b) == _reference_int_convolve(a, b)
+        assert _convolve(b, a) == _reference_int_convolve(b, a)
+
+    @pytest.mark.parametrize("n", [64, 120, 127, 240])
+    @pytest.mark.parametrize("bits", [2, 121, 128, 129, 135, 136, 255, 256])
+    @pytest.mark.parametrize("sign_a,sign_b", [(1, 1), (-1, 1), (-1, -1)])
+    def test_extreme_entries(self, n, bits, sign_a, sign_b):
+        # every entry as large as the widths allow, all of one sign: entry n
+        # is (n+1)(2^A - 1)(2^B - 1), the most a slot must hold
+        a = [sign_a * (2 ** (bits // 2) - 1)] * (n + 1)
+        b = [sign_b * (2 ** (bits - bits // 2) - 1)] * (n + 1)
+        assert chow._packed_convolve(a, b, bits) == _reference_int_convolve(a, b)
+        alternating = [x if k % 2 else -x for k, x in enumerate(a)]
+        assert chow._packed_convolve(alternating, b, bits) == _reference_int_convolve(
+            alternating, b
+        )
 
 
 _TWIST_DEGREES = [F(1), F(-1), F(4), F(7, 2), F(-5, 3), F(1, 9), F(10**200 + 1)]

@@ -4,6 +4,7 @@ sympy's ``ring_series`` module expands products, inverses and powers of
 polynomials over QQ to a given order.  Truncation mod H^{n+1} commutes
 with all three, so each expansion is taken once to order H^10 and every
 ambient dimension n <= 10 is checked against its first n+1 coefficients.
+The dense twist (n = 24) and the packed cap (n = 120) get one check each.
 """
 
 import random
@@ -92,6 +93,15 @@ def test_dense_twist_matches_series():
         R.zero,
     )
     assert GradedClass(n, tuple(b)).twist(LineBundleOnPn(lam)).coeffs == coeffs(expected, n)
+
+
+def test_packed_cap_matches_series():
+    # c(TP^120) capped with a dense class of 14-bit entries over 5: the
+    # shape of the polar route's cap at n = 120, which takes the packed path
+    n, rng = 120, random.Random(120)
+    b = [F(rng.choice((-1, 1)) * rng.getrandbits(14), 5) for _ in range(n + 1)]
+    expected = rs_mul((1 + H) ** (n + 1), poly(b), H, n + 1)
+    assert tangent_chern(n).cap(GradedClass(n, tuple(b))).coeffs == coeffs(expected, n)
 
 
 @pytest.mark.parametrize("d", [F(4), F(-7, 2)])

@@ -74,6 +74,7 @@ BOOLEAN = {ast.And: (r"\band\b", "or", ast.Or), ast.Or: (r"\bor\b", "and", ast.A
 _SWEEP = "the fitted quadratics are exact, so every weight of the sweep agrees, this one too"
 _READ_PATH = ("speed only: an entry of at most _MAX_DIGITS digits reads to the same number "
               "in the one int pass and entry by entry")
+_WIDER_SLOT = "speed only: a packed slot wider than the fewest bytes holds every entry just as well"
 
 # Survivors that compute exactly what the original computes, by (file,
 # function, source of the mutated node, mutation, how many earlier sites of
@@ -98,6 +99,8 @@ EQUIVALENT = {
     ("chow.py", "_CoeffVector._wire_nums",
      "len(text) <= _MAX_DIGITS or max(map(len, values)) <= _MAX_DIGITS", "or → and", 0):
         _READ_PATH,
+    ("chow.py", "_packed_convolve", "bits + n.bit_length() + 8", "8 → 9", 0): _WIDER_SLOT,
+    ("chow.py", "_packed_convolve", "(bits + n.bit_length() + 8) // 8", "// → *", 0): _WIDER_SLOT,
     ("chow.py", "_digits", "value < 0", "< → <=", 0):
         "the chunked path is reached only past the digit limit, where value is not 0",
     ("chow.py", "_digits", "value < 0", "0 → 1", 0):
