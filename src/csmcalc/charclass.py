@@ -52,6 +52,7 @@ from .chow import (
     _digits,
     _encode,
     _gather,
+    _wire,
 )
 from .errors import (
     DegenerateInvariantsError,
@@ -137,7 +138,7 @@ class BundleData(_Value):
         return cls(rank, HSeries.from_json(data["total_chern"]))
 
 
-def _polar_entries(polar):  # (index, ambient_dim, numerators, denominator) per GradedClass given
+def _polar_entries(polar):  # (index, *GradedClass._piece) per GradedClass given
     try:
         items = polar if isinstance(polar, dict) else dict(enumerate(polar))
     except TypeError:
@@ -147,7 +148,7 @@ def _polar_entries(polar):  # (index, ambient_dim, numerators, denominator) per 
         _check_int(k, "polar index")
         if not isinstance(p, GradedClass):
             raise ValidationError(f"polar class {k} must be a GradedClass, got {type(p).__name__}")
-        yield k, p.ambient_dim, p._nums, p._den
+        yield k, *p._piece()
 
 
 _SHOWN_DIGITS = 20  # the most digits of a polar key or index that a message echoes
@@ -183,15 +184,14 @@ class HypersurfaceSpec(_Value):
             raise ValidationError("need 0 <= r < n for a proper subvariety")
         d = as_rational(d)
         values = [(0, 1)] * (r + 1)
-        for k, m, nums, den in entries:
+        for k, m, support, p, q in entries:
             if k > r:
                 raise ValidationError(f"polar class index {_brief(_digits(k))} exceeds dim X = {r}")
             if m != n:
                 raise DimensionMismatchError(f"polar class {k} lives on P^{m}, spec declares P^{n}")
-            c = n - r + k
-            if any(nums[:c]) or any(nums[c + 1 :]):
+            if support not in ((), (n - r + k,)):
                 raise ValidationError(f"polar class {k} must be supported in dimension {r - k}")
-            values[k] = nums[c], den
+            values[k] = p, q
         if ambient_tangent is not None:
             if not isinstance(ambient_tangent, HSeries):
                 raise ValidationError("ambient_tangent must be an HSeries")
@@ -230,12 +230,17 @@ class HypersurfaceSpec(_Value):
     def _mather(self) -> GradedClass:  # read by mather_from_polar, so by csm_from_polar
         return tangent_chern(self.n).cap(self._total_polar)
 
-    def to_json(self) -> dict:
-        polar = {str(k): self._polar_class(k) for k, t in enumerate(self._signed) if t}
-        data = {"n": self.n, "r": self.r, "d": self.d, "polar": polar}
+    def to_json(self) -> dict:  # field by field: no GradedClass, no _encode pass per entry
+        n, c, polar = self.n, self.n - self.r, {}
+        for k, t in enumerate(self._signed):
+            if t:  # [P_k] as its one literal at codimension n-r+k, "0" elsewhere
+                coeffs = ["0"] * (n + 1)
+                coeffs[c + k] = _wire((-1) ** k * t, self._den)
+                polar[str(k)] = {"ambient_dim": n, "coeffs_by_codim": coeffs}
+        data = {"n": n, "r": self.r, "d": _encode(self.d), "polar": polar}
         if self.ambient_tangent is not None:
-            data["ambient_tangent"] = self.ambient_tangent
-        return _encode(data)
+            data["ambient_tangent"] = self.ambient_tangent.to_json()
+        return data
 
     @classmethod
     def from_json(cls, data) -> "HypersurfaceSpec":
@@ -256,7 +261,7 @@ class HypersurfaceSpec(_Value):
             if index in entries:  # "1", "01" and "\u0661" name one index
                 shown = _brief(key, repr)
                 raise InputParseError(f"polar key {shown} repeats polar index {_brief(str(index))}")
-            entries[index] = index, *GradedClass._wire_nums(value)
+            entries[index] = index, *GradedClass._wire_piece(value, n - r + index)
         tangent = HSeries.from_json(data["ambient_tangent"]) if "ambient_tangent" in data else None
         return cls.__new__(cls)._fill(n, r, parse_rational(data["d"]), entries.values(), tangent)
 

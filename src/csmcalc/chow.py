@@ -23,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import compress, count, islice
 from math import gcd, lcm
 from operator import mul
 
@@ -102,6 +102,8 @@ def _literal(value) -> tuple[int, int]:
         raise InputParseError(
             f"rational must be a string 'p' or 'p/q', got {type(value).__name__}"
         )
+    if value.isdecimal() and len(value) <= _MAX_DIGITS:  # digits alone: as the match reads them
+        return _int(value), 1
     match = _RATIONAL_RE.fullmatch(value.strip())
     if not match:
         raise InputParseError(f"bad rational literal {value!r}")
@@ -254,11 +256,11 @@ def _packed_convolve(a, b, bits) -> list[int]:
     return [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, size, w)]
 
 
-def _binomials(e, count) -> list[int]:
-    """C(e, 0), ..., C(e, count-1) for any integer e, negative included,
+def _binomials(e, size) -> list[int]:
+    """C(e, 0), ..., C(e, size-1) for any integer e, negative included,
     from the exact integer step C(e, i+1) = C(e, i) * (e - i) // (i + 1)."""
     out, b = [], 1
-    for i in range(count):
+    for i in range(size):
         out.append(b)
         b = b * (e - i) // (i + 1)
     return out
@@ -444,6 +446,21 @@ class _CoeffVector(_Value):
             nums[i] = p
         return n, nums, den
 
+    def _piece(self) -> tuple:  # (n, the indices of the nonzero numerators, their sum, den)
+        return self.ambient_dim, (*compress(count(), self._nums),), sum(self._nums), self._den
+
+    @classmethod
+    def _wire_piece(cls, data, c) -> tuple:
+        """_piece of a wire class expected at index c: of its one literal if every other entry
+        is "0" (c < 0 reads from the end; callers refuse it), else of _wire_nums, refusals too."""
+        if isinstance(data, dict) and data.keys() == {"ambient_dim", cls._wire_key}:
+            n, values = data["ambient_dim"], data[cls._wire_key]
+            if _is_int(n) and isinstance(values, list) and len(values) == n + 1 > c:
+                if values[c] != "0" and values.count("0") == n:
+                    p, q = _literal(values[c])
+                    return n, (c,) if p else (), p, q
+        return cls._reduce(*cls._wire_nums(data))._piece()
+
     def _from_json(cls, data):  # each subclass binds it as a classmethod
         return cls._reduce(*cls._wire_nums(data))
 
@@ -619,19 +636,19 @@ class GradedClass(_CoeffVector):
         m = self._relative_dim(relative_dim)
         p, q = bundle.degree.numerator, bundle.degree.denominator
         nums = self._nums
-        scale = [p**i * q ** (n - i) for i in range(n + 1)]
         narrow = 0 < p.bit_length() <= _DENSE_DEGREE_BITS and q.bit_length() <= _DENSE_DEGREE_BITS
         tabled = _DENSE_MIN_N <= n <= _TABLE_MAX_N and abs(n - m) <= 2 * n
         if narrow and tabled and 5 * nums.count(0) <= n + 1:
             columns = _twist_table(n, n - m)
             if p == q:  # lambda = 1: no scaling
                 return GradedClass._reduce(n, [sum(map(mul, nums, c)) for c in columns], self._den)
-            scaled = [*map(mul, nums, reversed(scale))]  # A_k = N_k * q^k * p^(n-k)
+            scaled = [x * q**k * p ** (n - k) for k, x in enumerate(nums)]  # A_k
             out = [
                 sum(map(mul, scaled, c)) // p ** (n - j) * q ** (n - j)
                 for j, c in enumerate(columns)
             ]
             return GradedClass._reduce(n, out, self._den * q**n)
+        scale = [p**i * q ** (n - i) for i in range(n + 1)]
         out = [0] * (n + 1)
         for k, num in enumerate(nums):
             if not num:

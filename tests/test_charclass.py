@@ -14,6 +14,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csmcalc import charclass as cc
 from csmcalc import chow, scenarios
@@ -258,6 +259,261 @@ class TestSpecWireParse:
         with pytest.raises(ValidationError, match="must be below"):
             HypersurfaceSpec.from_json({"n": n, "r": 2, "d": "4", "polar": {}})
 
+
+_MISPLACED = "polar class 1 must be supported in dimension 3"
+
+
+def _parse_error(message):
+    return "InputParseError", 2, message
+
+
+_SPELLINGS = [  # (name, spelling, what from_json wrote back for it at codimension 2:
+    # its literal, "" for zero, or the error it gave there and everywhere else)
+    ("seven", "7", "7"),
+    ("minus-zero", "-0", ""),
+    ("zero-over-five", "0/5", ""),
+    ("double-zero", "00", ""),
+    ("plus-three", "+3", "3"),
+    ("padded-three", " 3 ", "3"),
+    ("arabic-three", "\u0663", "3"),
+    ("six-fourths", "6/4", "3/2"),
+    ("underscored", "1_0", _parse_error("bad rational literal '1_0'")),
+    ("over-zero", "3/0", _parse_error("bad rational literal '3/0'")),
+    ("int", 3, "3"),
+    ("none", None, _parse_error("rational must be a string 'p' or 'p/q', got NoneType")),
+    ("bool", True, _parse_error("rational must be a string 'p' or 'p/q', got bool")),
+]
+
+
+def _edge_specs():
+    """Polar data on P^5 with r = 4, so that key "1" lives at codimension 2,
+    each with what from_json gave for it while every polar class was read by
+    GradedClass._wire_nums: the (codimension, literal) pairs of the nonzero
+    classes by key, or the error's type, exit code and message."""
+    p = _wire_polar
+    cases = {}
+    for name, spelling, read in _SPELLINGS:
+        if isinstance(read, tuple):  # an error, wherever the spelling stands
+            at_c = elsewhere = read
+        elif read:
+            at_c, elsewhere = {"1": [(2, read)]}, ("ValidationError", 3, _MISPLACED)
+        else:  # a zero class
+            at_c = elsewhere = {}
+        cases[f"{name}-at-c"] = {"1": p(5, c2=spelling)}, at_c
+        cases[f"{name}-elsewhere"] = {"1": p(5, c4=spelling)}, elsewhere
+    long = "-" + "7" * 20_000
+    cases.update({
+        "digits-20000-at-c": ({"1": p(5, c2=long)}, {"1": [(2, long)]}),
+        "digits-20001-at-c": (
+            {"1": p(5, c2="7" * 20_001)},
+            _parse_error("rational literal too long: more than 20000 digits"),
+        ),
+        "wrong-length": (
+            {"1": {"ambient_dim": 5, "coeffs_by_codim": ["0", "0", "3", "0", "0"]}},
+            _parse_error("coeffs_by_codim must list exactly 6 entries for ambient_dim 5"),
+        ),
+        "ambient-dim-bool": (
+            {"0": {"ambient_dim": True, "coeffs_by_codim": ["0", "3"]}},  # True + 1 entries
+            _parse_error("ambient_dim must be an integer, got bool"),
+        ),
+        "ambient-dim-str": (
+            {"1": {**p(5, c2="3"), "ambient_dim": "5"}},
+            _parse_error("ambient_dim must be an integer, got str"),
+        ),
+        "ambient-dim-4": (
+            {"1": p(4, c2="3")},
+            ("DimensionMismatchError", 3, "polar class 1 lives on P^4, spec declares P^5"),
+        ),
+        "ambient-dim-6": (
+            {"1": p(6, c2="3")},
+            ("DimensionMismatchError", 3, "polar class 1 lives on P^6, spec declares P^5"),
+        ),
+        "extra-key": (
+            {"1": {**p(5, c2="3"), "coeffs": []}},
+            _parse_error("unknown key(s) in graded class: coeffs"),
+        ),
+        "missing-key": (
+            {"1": {"ambient_dim": 5}},
+            _parse_error("missing key(s) in graded class: coeffs_by_codim"),
+        ),
+        "index-beyond-r": (
+            {"7": p(5, c2="3")}, ("ValidationError", 3, "polar class index 7 exceeds dim X = 4")
+        ),
+        "index-beyond-r-within-list": (
+            {"5": p(7, c6="3")}, ("ValidationError", 3, "polar class index 5 exceeds dim X = 4")
+        ),
+        "index-beyond-r-bad-literal": (
+            {"7": p(5, c2="x")}, _parse_error("bad rational literal 'x'")
+        ),
+    })
+    faults = {
+        "parse": ("0", p(5, c1="x")),
+        "misplaced": ("1", p(5, c4="2")),
+        "beyond-r": ("7", p(5, c2="3")),
+        "dimension": ("2", p(4, c3="2")),
+    }
+    firsts = {  # the error of each pair of faulty keys, in both orders
+        ("parse", "misplaced"): _parse_error("bad rational literal 'x'"),
+        ("misplaced", "parse"): _parse_error("bad rational literal 'x'"),
+        ("beyond-r", "parse"): _parse_error("bad rational literal 'x'"),
+        ("parse", "beyond-r"): _parse_error("bad rational literal 'x'"),
+        ("misplaced", "dimension"): ("ValidationError", 3, _MISPLACED),
+        ("dimension", "misplaced"): (
+            "DimensionMismatchError", 3, "polar class 2 lives on P^4, spec declares P^5"
+        ),
+        ("beyond-r", "misplaced"): ("ValidationError", 3, "polar class index 7 exceeds dim X = 4"),
+        ("misplaced", "beyond-r"): ("ValidationError", 3, _MISPLACED),
+    }
+    for (a, b), want in firsts.items():
+        cases[f"{a}-then-{b}"] = dict([faults[a], faults[b]]), want
+    return {name: ({"n": 5, "r": 4, "d": "3/2", "polar": polar}, want)
+            for name, (polar, want) in cases.items()}
+
+
+def _both_outcomes(data):
+    """from_json's outcome on data, and that of one GradedClass per polar class."""
+    return _read_outcome(HypersurfaceSpec.from_json, data), _read_outcome(_per_class_spec, data)
+
+
+def _pinned_outcome(data):
+    """from_json's outcome on data: the nonzero (codimension, literal) pairs by
+    key, or the error's type name, exit code and message."""
+    try:
+        spec = HypersurfaceSpec.from_json(data)
+    except (InputParseError, ValidationError) as exc:
+        return type(exc).__name__, exc.exit_code, str(exc)
+    return {key: [(i, x) for i, x in enumerate(cls["coeffs_by_codim"]) if x != "0"]
+            for key, cls in spec.to_json()["polar"].items()}
+
+
+_LITERALS = st.sampled_from(
+    ["7", "-12", "0", "-0", "0/5", "00", "+3", " 3 ", "\u0663", "6/4", "-9/6", "1_0", "3/0",
+     "x", "", 3, 0, None, True, 1.5]
+)
+
+
+@st.composite
+def _wire_polar_specs(draw):
+    """Wire specs whose polar lists hold one entry (at the class's codimension
+    or not), none, or several, from literals good and bad, mostly on P^n."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n - 1))
+    polar = {}
+    for k in draw(st.lists(st.integers(0, r + 1), max_size=r + 2, unique=True)):
+        m = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+        coeffs = ["0"] * (m + 1)
+        shape = draw(st.sampled_from(["one at c", "one at c", "one anywhere", "several", "none"]))
+        at = {"one at c": [n - r + k], "none": []}.get(shape) or draw(
+            st.lists(st.integers(0, m), min_size=1, max_size=1 if shape == "one anywhere" else 3)
+        )
+        for i in at:
+            if i <= m:
+                coeffs[i] = draw(_LITERALS)
+        polar[str(k)] = {"ambient_dim": m, "coeffs_by_codim": coeffs}
+    return {"n": n, "r": r, "d": "3/2", "polar": polar}
+
+
+class TestSpecShapeReader:
+    """from_json reads a polar class whose list holds one entry that is not
+    "0", at the class's codimension, by that entry alone; every other value
+    takes the classes' wire reader.  Value or error, it must give what it gave
+    while every class took that reader, and what one GradedClass per polar
+    class gives."""
+
+    @pytest.mark.parametrize("name", _edge_specs())
+    def test_edge_case_outcome_is_pinned(self, name):
+        data, want = _edge_specs()[name]
+        assert _pinned_outcome(data) == want
+
+    @pytest.mark.parametrize("name", _edge_specs())
+    def test_edge_case_matches_per_class_parse(self, name):
+        data = _edge_specs()[name][0]
+        got, want = _both_outcomes(data)
+        assert got == want
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(_wire_polar_specs())
+    def test_generated_lists_match_per_class_parse(self, data):
+        got, want = _both_outcomes(data)
+        assert got == want
+
+    def test_one_piece_lists_take_no_list_reader(self, monkeypatch):
+        def forbidden(cls, data):
+            raise AssertionError("a one-piece polar list went through _wire_nums")
+
+        spellings = ["7", "-6/4", " 3 ", "\u0663", "+12", "-0", 5, "0/5", "9" * 5000]
+        dense = {"n": 24, "r": 23, "d": "2", "polar": {
+            str(k): _wire_polar(24, **{f"c{1 + k}": spellings[k % len(spellings)]})
+            for k in range(24)}}
+        sparse = {"n": 120, "r": 117, "d": "7/3", "polar": {
+            "0": _wire_polar(120, c3="7/3"), "2": _wire_polar(120, c5="-41")}}
+        want = [_per_class_spec(dense), _per_class_spec(sparse)]
+        monkeypatch.setattr(GradedClass, "_wire_nums", classmethod(forbidden))
+        assert [HypersurfaceSpec.from_json(dense), HypersurfaceSpec.from_json(sparse)] == want
+        with pytest.raises(AssertionError, match="through _wire_nums"):
+            HypersurfaceSpec.from_json({**sparse, "polar": {"0": _wire_polar(120, c3="0")}})
+
+    @pytest.mark.parametrize(("n", "r"), [(3, 5), (3, 3), (0, 0)])
+    def test_r_out_of_range_after_every_literal(self, n, r):
+        # n - r + k < 0 reads the list from its end: _fill refuses r first
+        polar = {"0": _wire_polar(n, c0="3"), "1": _wire_polar(n, c1="1")}
+        data = {"n": n, "r": r, "d": "2", "polar": polar}
+        got, want = _both_outcomes(data)
+        assert got == want
+        polar["2"] = _wire_polar(n, c0="x")
+        with pytest.raises(InputParseError, match="bad rational literal 'x'"):
+            HypersurfaceSpec.from_json(data)
+
+
+def _reference_spec_json(spec):
+    """HypersurfaceSpec.to_json as the wire form of one GradedClass per nonzero polar class."""
+    polar = {str(k): spec._polar_class(k) for k, t in enumerate(spec._signed) if t}
+    data = {"n": spec.n, "r": spec.r, "d": spec.d, "polar": polar}
+    if spec.ambient_tangent is not None:
+        data["ambient_tangent"] = spec.ambient_tangent
+    return chow._encode(data)
+
+
+@st.composite
+def _written_specs(draw):
+    """Sparse or dense specs with rational polar classes, with or without
+    ambient_tangent, built from GradedClass objects or read from wire
+    literals out of lowest terms."""
+    n = draw(st.integers(1, 24))
+    r = draw(st.integers(0, n - 1))
+    d = draw(st.fractions(-9, 9, max_denominator=5))
+    if draw(st.booleans()):
+        ks = range(r + 1)
+    else:
+        ks = draw(st.lists(st.integers(0, r), max_size=3, unique=True))
+    values = {k: draw(st.fractions(-(10**9), 10**9, max_denominator=12)) for k in ks}
+    entries = st.lists(st.fractions(-9, 9, max_denominator=4), min_size=n, max_size=n)
+    tangent = draw(st.none() | entries)
+    if tangent is not None:
+        tangent = HSeries.from_coeffs(n, [1, *tangent])
+    if draw(st.booleans()):
+        polar = {k: GradedClass.single(n, n - r + k, v) for k, v in values.items()}
+        return HypersurfaceSpec(n, r, d, polar, tangent)
+    s = draw(st.integers(1, 9))  # a common factor: literals out of lowest terms
+    polar = {
+        str(k): _wire_polar(n, **{f"c{n - r + k}": f"{v.numerator * s}/{v.denominator * s}"})
+        for k, v in values.items()
+    }
+    data = {"n": n, "r": r, "d": chow.format_rational(d), "polar": polar}
+    if tangent is not None:
+        data["ambient_tangent"] = tangent.to_json()
+    return HypersurfaceSpec.from_json(data)
+
+
+class TestSpecWriter:
+    """to_json writes each nonzero polar class at its codimension, with no
+    GradedClass built: the bytes of one GradedClass per class."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_written_specs())
+    def test_matches_per_class_writer_and_round_trips(self, spec):
+        assert json.dumps(spec.to_json()) == json.dumps(_reference_spec_json(spec))
+        assert HypersurfaceSpec.from_json(spec.to_json()) == spec
 
 def _reference_total_polar(spec):
     """total_polar_class as the sum of one dual and one twist per polar class."""

@@ -25,8 +25,8 @@ reason from ``EQUIVALENT`` when the survivor is known to compute exactly
 what the original computes, and every mutant that timed out.
 
 Stdlib only, and not part of the test suite or CI: a sweep of ``chow.py``
-and ``charclass.py`` takes about a quarter of an hour with two workers,
-and one that adds ``cli.py`` and ``scenarios.py`` about 25 minutes.
+and ``charclass.py`` takes about 25 minutes with two workers, and one
+that adds ``cli.py`` and ``scenarios.py`` longer still.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ EQUIVALENT = {
     ("chow.py", "_CoeffVector._wire_nums",
      "len(text) <= _MAX_DIGITS or max(map(len, values)) <= _MAX_DIGITS", "or → and", 0):
         _READ_PATH,
+    ("chow.py", "_literal", "len(value) <= _MAX_DIGITS", "<= → <", 0):
+        "speed only: a string of exactly _MAX_DIGITS digits reads to the same number by the match",
     ("chow.py", "_packed_convolve", "bits + n.bit_length() + 8", "8 → 9", 0): _WIDER_SLOT,
     ("chow.py", "_packed_convolve", "(bits + n.bit_length() + 8) // 8", "// → *", 0): _WIDER_SLOT,
     ("chow.py", "_digits", "value < 0", "< → <=", 0):

@@ -20,6 +20,10 @@ script.  For each n in ``SIZES`` the file holds the median
   share; and ``HypersurfaceSpec.from_json`` and the Mather class's
   ``to_json``.
 
+The data and the routes come from ``tests/route_data.py``, which the
+tier-1 test ``tests/test_route_hashes.py`` shares: the hashes in the file
+are the ones ``tests/route_hashes.json`` pins.
+
 A route that reads a class cached on the spec gets a fresh spec for each
 call, built outside the timer, so its time includes building that class.
 The speed of a shared machine drifts for seconds at a time, so the sweep
@@ -34,11 +38,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import platform
-import random
 import re
 import statistics
 import sys
@@ -47,14 +49,13 @@ from pathlib import Path
 from time import perf_counter_ns
 
 ROOT = Path(__file__).resolve().parents[1]
-SIZES = (3, 10, 24, 30, 60, 120, 240)  # 24: the dense-twist workload's n
+sys.path.insert(0, str(ROOT / "tests"))
+from route_data import DEGREE, SIZES, UNHASHED, draws, route_calls, wire_sha256  # noqa: E402
+
 PASSES = 7
 BUDGET_NS = 40_000_000  # samples of a row in one pass stop after this much timed work ...
 LEAST, MOST = 3, 21  # ... once there are LEAST of them, and at MOST
 BATCH_NS = 20_000  # a call faster than this is timed in batches of about this length
-DEGREE = 4
-INVARIANTS = {"chi": "5", "eu": "3"}
-ALPHA = Fraction(2, 5)
 
 
 def median_ns(call, fresh=None) -> tuple[float, int]:
@@ -78,41 +79,12 @@ def median_ns(call, fresh=None) -> tuple[float, int]:
     return statistics.median(samples), len(samples)
 
 
-def wire_sha256(value) -> str:
-    """SHA-256 of a route result's wire form: a class by its to_json, a
-    pair of rationals as their strings."""
-    wire = value.to_json() if hasattr(value, "to_json") else [str(x) for x in value]
-    return hashlib.sha256(json.dumps(wire, sort_keys=True).encode()).hexdigest()
-
-
-def spec_wire(n, dense, rng) -> dict:
-    """A hypersurface (r = n - 1) of degree DEGREE: P_0 = DEGREE [P^(n-1)],
-    and P_k a random integer in 1..10^6 in codimension k + 1 for every k
-    (dense) or for k = 1 only (sparse)."""
-
-    def single(codim, value):
-        coeffs = ["0"] * (n + 1)
-        coeffs[codim] = str(value)
-        return {"ambient_dim": n, "coeffs_by_codim": coeffs}
-
-    polar = {"0": single(1, DEGREE)}
-    for k in range(1, n if dense else min(2, n)):
-        polar[str(k)] = single(k + 1, rng.randint(1, 10**6))
-    return {"n": n, "r": n - 1, "d": str(DEGREE), "polar": polar}
-
-
-def kernel_rows(chow, n, rng) -> list[tuple]:
-    """(row, call, fresh) for each layer-1 row at n."""
+def kernel_rows(chow, n, data) -> list[tuple]:
+    """(row, call, fresh) for each layer-1 row at n, on the dense vectors of data."""
     tangent = chow.tangent_chern(n)
-    classes = {
-        "one-piece": chow.GradedClass.single(n, 1, DEGREE),
-        "dense-narrow": chow.GradedClass._reduce(
-            n, [rng.choice((-1, 1)) * rng.getrandbits(14) for _ in range(n + 1)], 1
-        ),
-        "dense-wide": chow.GradedClass._reduce(
-            n, [rng.choice((-1, 1)) * rng.getrandbits(400) for _ in range(n + 1)], 1
-        ),
-    }
+    classes = {"one-piece": chow.GradedClass.single(n, 1, DEGREE)}
+    for operands in ("dense-narrow", "dense-wide"):
+        classes[operands] = chow.GradedClass._reduce(n, data[operands], 1)
     rows = []
     for operands, cls in classes.items():
         rows += [
@@ -137,41 +109,10 @@ def kernel_rows(chow, n, rng) -> list[tuple]:
 def route_rows(cc, n, data, wire) -> list[tuple]:
     """(row, call, fresh) for each route at n on one kind of polar data,
     the row with the SHA-256 of the route's wire output."""
-    inv = cc.InvariantData.from_json(INVARIANTS)
-    spec = cc.HypersurfaceSpec.from_json(wire)
-    d = spec.d
-    c_fulton = cc.fulton_class(n, d)
-    c_mather = cc.mather_from_polar(spec)
-    normal = cc.BundleData.line(n, d)
-    s_yx = cc.segre_from_polar(spec, normal)
-    s_ym = cc.segre_yx_to_ym(s_yx, d, inv)
-    c_y = spec.fundamental_class.mul_linear(1, 3)  # any class with c_y[1] != 0
-    lhs = c_y.mul_linear(inv.eu - inv.chi, (inv.eu - 1) * d)  # planted: solves to inv
-    fresh_spec = lambda: (cc.HypersurfaceSpec.from_json(wire),)  # noqa: E731
-    routes = {  # name: (call, fresh arguments or None)
-        "from_json": (lambda: cc.HypersurfaceSpec.from_json(wire), None),
-        "total_polar_class": (cc.total_polar_class, fresh_spec),
-        "mather_from_polar": (cc.mather_from_polar, fresh_spec),
-        "to_json": (lambda: c_mather.to_json(), None),
-        "mather_double_sum": (cc.mather_double_sum, fresh_spec),
-        "csm_from_polar": (lambda s: cc.csm_from_polar(s, inv), fresh_spec),
-        "fulton_class": (lambda: cc.fulton_class(n, d), None),
-        "interpolated_class": (lambda: cc.interpolated_class(c_fulton, c_mather, d, ALPHA), None),
-        "csm_from_interpolation": (
-            lambda: cc.csm_from_interpolation(c_fulton, c_mather, d, inv), None
-        ),
-        "solver_lhs": (lambda: cc.solver_lhs(c_mather, c_fulton, d), None),
-        "solve_invariants": (lambda: cc.solve_invariants(lhs, c_y, d), None),
-        "segre_from_polar": (lambda s: cc.segre_from_polar(s, normal), fresh_spec),
-        "segre_yx_to_ym": (lambda: cc.segre_yx_to_ym(s_yx, d, inv), None),
-        "segre_ym_to_yx": (lambda: cc.segre_ym_to_yx(s_ym, d, inv), None),
-        "mather_from_segre": (lambda: cc.mather_from_segre(s_yx, n, d), None),
-        "csm_from_segre": (lambda: cc.csm_from_segre(s_ym, n, d), None),
-    }
     rows = []
-    for name, (call, fresh) in routes.items():
+    for name, (call, fresh) in route_calls(cc, n, wire).items():
         row = {"op": "route", "route": name, "data": data, "n": n}
-        if name not in ("from_json", "to_json"):
+        if name not in UNHASHED:
             row["sha256"] = wire_sha256(call(*fresh()) if fresh else call())
         rows.append((row, call, fresh))
     return rows
@@ -201,10 +142,10 @@ def main(argv=None) -> int:
 
     timed = []
     for n in SIZES:
-        rng = random.Random(f"sweep-{n}")
-        timed += kernel_rows(chow, n, rng)
-        for data in ("sparse", "dense"):
-            timed += route_rows(cc, n, data, spec_wire(n, data == "dense", rng))
+        data = draws(n)
+        timed += kernel_rows(chow, n, data)
+        for kind in ("sparse", "dense"):
+            timed += route_rows(cc, n, kind, data[kind])
     passes = [[] for _ in timed]
     for k in range(PASSES):
         for (_, call, fresh), got in zip(timed, passes):
