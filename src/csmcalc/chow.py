@@ -256,11 +256,11 @@ def _packed_convolve(a, b, bits) -> list[int]:
     return [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, size, w)]
 
 
-def _binomials(e, size) -> list[int]:
-    """C(e, 0), ..., C(e, size-1) for any integer e, negative included,
+def _binomials(e, count) -> list[int]:
+    """C(e, 0), ..., C(e, count-1) for any integer e, negative included,
     from the exact integer step C(e, i+1) = C(e, i) * (e - i) // (i + 1)."""
     out, b = [], 1
-    for i in range(size):
+    for i in range(count):
         out.append(b)
         b = b * (e - i) // (i + 1)
     return out
@@ -450,12 +450,10 @@ class _CoeffVector(_Value):
         return self.ambient_dim, (*compress(count(), self._nums),), sum(self._nums), self._den
 
     @classmethod
-    def _wire_piece(cls, data, c) -> tuple:
-        """_piece of a wire class expected at index c: of its one literal if every other entry
-        is "0" (c < 0 reads from the end; callers refuse it), else of _wire_nums, refusals too."""
+    def _wire_piece(cls, data, c) -> tuple:  # _piece of one literal at c amid "0"s, or _wire_nums
         if isinstance(data, dict) and data.keys() == {"ambient_dim", cls._wire_key}:
             n, values = data["ambient_dim"], data[cls._wire_key]
-            if _is_int(n) and isinstance(values, list) and len(values) == n + 1 > c:
+            if _is_int(n) and isinstance(values, list) and len(values) == n + 1 > c >= 0:
                 if values[c] != "0" and values.count("0") == n:
                     p, q = _literal(values[c])
                     return n, (c,) if p else (), p, q

@@ -146,6 +146,13 @@ def tangent_developable() -> ScenarioReport:
     return report
 
 
+def _interpolate_quadratic(y0, y1, yh):
+    # quadratic through (0, y0), (1, y1), (1/2, yh)
+    a2 = 2 * y0 + 2 * y1 - 4 * yh
+    a1 = y1 - y0 - a2
+    return (y0, a1, a2)
+
+
 def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
     """The cone in P^3 over a degree-d plane curve with exactly one node.
 
@@ -176,10 +183,10 @@ def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
 
     half = Fraction(1, 2)
     at0, at1, athalf = engine(0), engine(1), engine(half)
-    engine_poly = []  # per codimension, the quadratic through (0, y0), (1, y1), (1/2, yh)
-    for y0, y1, yh in zip(at0.coeffs, at1.coeffs, athalf.coeffs):
-        a2 = 2 * y0 + 2 * y1 - 4 * yh
-        engine_poly.append((y0, y1 - y0 - a2, a2))
+    engine_poly = [
+        _interpolate_quadratic(at0.coeffs[k], at1.coeffs[k], athalf.coeffs[k])
+        for k in range(n + 1)
+    ]
 
     expected_poly = {
         1: (Fraction(d), Fraction(0), Fraction(0)),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csmcalc import charclass as cc
-from csmcalc import chow, scenarios
+from csmcalc import chow, cli, scenarios
 from csmcalc.charclass import BundleData, HypersurfaceSpec, InvariantData
 from csmcalc.chow import GradedClass, HSeries, LineBundleOnPn, parse_rational, tangent_chern
 from csmcalc.errors import (
@@ -397,7 +397,8 @@ def _wire_polar_specs(draw):
     """Wire specs whose polar lists hold one entry (at the class's codimension
     or not), none, or several, from literals good and bad, mostly on P^n."""
     n = draw(st.integers(1, 6))
-    r = draw(st.integers(0, n - 1))
+    # one spec in five has r >= n, up to 2n + 3: n - r + k then falls below -(n + 1)
+    r = draw(st.integers(0, n - 1) if draw(st.integers(0, 4)) else st.integers(n, 2 * n + 3))
     polar = {}
     for k in draw(st.lists(st.integers(0, r + 1), max_size=r + 2, unique=True)):
         m = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
@@ -407,7 +408,7 @@ def _wire_polar_specs(draw):
             st.lists(st.integers(0, m), min_size=1, max_size=1 if shape == "one anywhere" else 3)
         )
         for i in at:
-            if i <= m:
+            if -len(coeffs) <= i <= m:  # a c below 0 counts from the end, as an index does
                 coeffs[i] = draw(_LITERALS)
         polar[str(k)] = {"ambient_dim": m, "coeffs_by_codim": coeffs}
     return {"n": n, "r": r, "d": "3/2", "polar": polar}
@@ -453,9 +454,9 @@ class TestSpecShapeReader:
         with pytest.raises(AssertionError, match="through _wire_nums"):
             HypersurfaceSpec.from_json({**sparse, "polar": {"0": _wire_polar(120, c3="0")}})
 
-    @pytest.mark.parametrize(("n", "r"), [(3, 5), (3, 3), (0, 0)])
+    @pytest.mark.parametrize(("n", "r"), [(3, 5), (3, 3), (0, 0), (3, 8), (3, 10**30)])
     def test_r_out_of_range_after_every_literal(self, n, r):
-        # n - r + k < 0 reads the list from its end: _fill refuses r first
+        # n - r + k < 0 takes the list reader: _fill refuses r after every literal is read
         polar = {"0": _wire_polar(n, c0="3"), "1": _wire_polar(n, c1="1")}
         data = {"n": n, "r": r, "d": "2", "polar": polar}
         got, want = _both_outcomes(data)
@@ -463,6 +464,20 @@ class TestSpecShapeReader:
         polar["2"] = _wire_polar(n, c0="x")
         with pytest.raises(InputParseError, match="bad rational literal 'x'"):
             HypersurfaceSpec.from_json(data)
+
+    @pytest.mark.parametrize("r", [5, 2])
+    def test_empty_list_on_p_minus_one_is_refused(self, r):
+        empty = {"ambient_dim": -1, "coeffs_by_codim": []}
+        data = {"n": 3, "r": r, "d": "4", "polar": {"0": empty}}
+        got, want = _both_outcomes(data)
+        assert got == want == (InputParseError, "ambient_dim must be >= 0")
+
+    def test_r_far_past_n_exits_3_from_the_cli(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        polar = {"0": _wire_polar(3, c1="4")}
+        spec.write_text(json.dumps({"n": 3, "r": 8, "d": "4", "polar": polar}))
+        assert cli.run(["polar-total", "--spec", str(spec)]) == 3
+        assert "need 0 <= r < n for a proper subvariety" in capsys.readouterr().err
 
 
 def _reference_spec_json(spec):

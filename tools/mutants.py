@@ -75,6 +75,8 @@ _SWEEP = "the fitted quadratics are exact, so every weight of the sweep agrees, 
 _READ_PATH = ("speed only: an entry of at most _MAX_DIGITS digits reads to the same number "
               "in the one int pass and entry by entry")
 _WIDER_SLOT = "speed only: a packed slot wider than the fewest bytes holds every entry just as well"
+_AT_ZERO = ("speed only: c = n - r + k is 0 only when r >= n, and the list reader gives "
+            "that class, or refusal, just as the one literal does")
 
 # Survivors that compute exactly what the original computes, by (file,
 # function, source of the mutated node, mutation, how many earlier sites of
@@ -101,6 +103,10 @@ EQUIVALENT = {
         _READ_PATH,
     ("chow.py", "_literal", "len(value) <= _MAX_DIGITS", "<= → <", 0):
         "speed only: a string of exactly _MAX_DIGITS digits reads to the same number by the match",
+    ("chow.py", "_CoeffVector._wire_piece", "len(values) == n + 1 > c >= 0", ">= → >", 0):
+        _AT_ZERO,
+    ("chow.py", "_CoeffVector._wire_piece", "len(values) == n + 1 > c >= 0", "0 → 1", 0):
+        _AT_ZERO,
     ("chow.py", "_packed_convolve", "bits + n.bit_length() + 8", "8 → 9", 0): _WIDER_SLOT,
     ("chow.py", "_packed_convolve", "(bits + n.bit_length() + 8) // 8", "// → *", 0): _WIDER_SLOT,
     ("chow.py", "_digits", "value < 0", "< → <=", 0):
