@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from math import gcd
 
 from .chow import (
     GradedClass,
@@ -302,17 +302,19 @@ def mather_double_sum(spec: HypersurfaceSpec) -> GradedClass:
 
         sum_{k>=0} sum_{i=0}^{k} (-1)^(k-i) C(r+1-k+i, i) H^i [P_{k-i}].
 
-    Independent route from :func:`mather_from_polar`; the two agree on
-    every well-formed input.  Terms with k > r land below dimension zero
-    and are dropped by truncation.  On integers: [P_j] = T_j/den lives in
-    codimension n-r+j and adds (-1)^j * C(r+1-j, i) * T_j to n-r+j+i.
+    Independent route from :func:`mather_from_polar`: the two agree on every
+    well-formed input; terms with k > r fall below dimension zero and drop.
+    On integers, [P_j] = T_j/den in codimension n-r+j adds (-1)^j * C(m, i) *
+    T_j to n-r+j+i, m = r+1-j, by the exact step C(m, i+1) = C(m, i)*(m-i)/(i+1).
     """
     n, r = spec.n, spec.r
     out = [0] * (n + 1)
     for j, t in enumerate(spec._signed):
         if t:
-            for i in range(r + 1 - j):
-                out[n - r + j + i] += comb(r + 1 - j, i) * t
+            m = r + 1 - j
+            for i in range(m):  # t * C(m, i), then t * C(m, i+1) by one exact step
+                out[n - r + j + i] += t
+                t = t * (m - i) // (i + 1)
     return GradedClass._reduce(n, out, spec._den)
 
 
@@ -323,13 +325,15 @@ def interpolated_class(
 
         c_(alpha) = c_F + (1 - alpha)/(1 + alpha*X) cap (c_Ma - c_F)
 
-    with X acting as d*H: c_Ma - c_F is divided by (1 + alpha*d*H) in the
-    linear-factor kernel, then scaled by 1 - alpha.  Defined for every
-    rational alpha; alpha = 0 returns c_Ma and alpha = 1 returns c_F
-    exactly.
+    with X acting as d*H: (1 - alpha)*c_Ma + (alpha - 1)*c_F divided by
+    (1 + alpha*d*H) in one pass of the linear-factor kernel, read on the class
+    so that _check_dim refuses either class as c_Ma - c_F would.  Defined for
+    every rational alpha; alpha = 0 returns c_Ma and alpha = 1 returns c_F exactly.
     """
-    alpha = as_rational(alpha)
-    return c_fulton + (c_mather - c_fulton).div_linear(alpha * as_rational(d)) * (1 - alpha)
+    lam = (alpha := as_rational(alpha)) * as_rational(d)
+    if not isinstance(c_mather, (GradedClass, HSeries)):  # it has no _check_dim to refuse it
+        raise ValidationError(f"c_mather must be a GradedClass, got {type(c_mather).__name__}")
+    return c_fulton + GradedClass._div_linear_sum(c_mather, 1 - alpha, c_fulton, alpha - 1, lam)
 
 
 def csm_from_interpolation(
@@ -347,12 +351,11 @@ def csm_from_polar(spec: HypersurfaceSpec, inv: InvariantData) -> GradedClass:
     with c_Ma = c(TP^n) cap [P] the Mather class of :func:`mather_from_polar`,
     read from the spec rather than capped again.  c(TM) is
     ``spec.ambient_tangent``, c(TP^n) when it is not given, and X acts as
-    ``spec.d`` times H; the cap with the one-piece rho[X] is O(n), and the
-    sum is divided once by (1 + rho*d*H) in the linear-factor kernel.
+    ``spec.d`` times H; the cap with the one-piece [X] is O(n), and rho times it
+    plus sigma c_Ma is divided by (1 + rho*d*H) in one linear-factor kernel pass.
     """
-    tangent = spec.ambient_tangent or tangent_chern(spec.n)
-    virtual = tangent.cap(inv.rho * spec.fundamental_class)
-    return (virtual + mather_from_polar(spec) * inv.sigma).div_linear(inv.rho * spec.d)
+    virtual = (spec.ambient_tangent or tangent_chern(spec.n)).cap(spec.fundamental_class)
+    return virtual._div_linear_sum(inv.rho, mather_from_polar(spec), inv.sigma, inv.rho * spec.d)
 
 
 def segre_ym_to_yx(s_ym: GradedClass, d, inv: InvariantData) -> GradedClass:
@@ -366,9 +369,9 @@ def segre_ym_to_yx(s_ym: GradedClass, d, inv: InvariantData) -> GradedClass:
 
 
 def segre_yx_to_ym(s_yx: GradedClass, d, inv: InvariantData) -> GradedClass:
-    """Inverse conversion: s(Y,M) = sigma/(1 + sigma X) cap s(Y,X), one
-    division in the linear-factor kernel, then a scaling by sigma."""
-    return s_yx.div_linear(inv.sigma * as_rational(d)) * inv.sigma
+    """Inverse conversion: s(Y,M) = sigma/(1 + sigma X) cap s(Y,X), in one
+    pass of the linear-factor kernel, the scaling by sigma folded in."""
+    return s_yx._div_linear_sum(inv.sigma, s_yx, 0, inv.sigma * as_rational(d))
 
 
 def mather_from_segre(s_yx: GradedClass, n: int, d) -> GradedClass:

@@ -256,11 +256,11 @@ def _packed_convolve(a, b, bits) -> list[int]:
     return [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, size, w)]
 
 
-def _binomials(e, count) -> list[int]:
-    """C(e, 0), ..., C(e, count-1) for any integer e, negative included,
+def _binomials(e, size) -> list[int]:
+    """C(e, 0), ..., C(e, size-1) for any integer e, negative included,
     from the exact integer step C(e, i+1) = C(e, i) * (e - i) // (i + 1)."""
     out, b = [], 1
-    for i in range(count):
+    for i in range(size):
         out.append(b)
         b = b * (e - i) // (i + 1)
     return out
@@ -450,11 +450,11 @@ class _CoeffVector(_Value):
         return self.ambient_dim, (*compress(count(), self._nums),), sum(self._nums), self._den
 
     @classmethod
-    def _wire_piece(cls, data, c) -> tuple:  # _piece of one literal at c amid "0"s, or _wire_nums
+    def _wire_piece(cls, data, c) -> tuple:  # _piece of "0"s bar one literal at c, or _wire_nums
         if isinstance(data, dict) and data.keys() == {"ambient_dim", cls._wire_key}:
             n, values = data["ambient_dim"], data[cls._wire_key]
             if _is_int(n) and isinstance(values, list) and len(values) == n + 1 > c >= 0:
-                if values[c] != "0" and values.count("0") == n:
+                if values.count("0") + (values[c] != "0") == n + 1:  # all "0" reads (0, 1)
                     p, q = _literal(values[c])
                     return n, (c,) if p else (), p, q
         return cls._reduce(*cls._wire_nums(data))._piece()
@@ -662,8 +662,8 @@ class GradedClass(_CoeffVector):
                     out[k + i] += num * b * scale[i]
         return GradedClass._reduce(n, out, self._den * q**n)
 
-    # The linear-factor kernel: cap with (a + b*H) or with 1/(1 + lam*H)
-    # in O(n), on the class's numerators N_k over its denominator den.
+    # The linear-factor kernel: cap with (a + b*H), or a sum of two classes
+    # with 1/(1 + lam*H), in O(n) on numerators N_k over a denominator den.
 
     def mul_linear(self, a, b) -> "GradedClass":
         """The class capped with (a + b*H): with a = A/q and b = B/q,
@@ -674,18 +674,27 @@ class GradedClass(_CoeffVector):
         return GradedClass._reduce(self.ambient_dim, out, self._den * q)
 
     def div_linear(self, lam) -> "GradedClass":
-        """The class capped with 1/(1 + lam*H), i.e. Y_k = X_k - lam*Y_(k-1):
-        with lam = p/q, Y_k = C_k / (den*q^n) for the integers
-        C_k = N_k*q^n - p*C_(k-1)/q, exact since C_(k-1) = den*q^n*Y_(k-1)
-        carries q^(n-k+1) (Y_(k-1) has denominator den*q^(k-1))."""
-        lam = as_rational(lam)
-        p, q = lam.numerator, lam.denominator
-        n = self.ambient_dim
+        """The class capped with 1/(1 + lam*H): _div_linear_sum with b = 0."""
+        return self._div_linear_sum(1, self, 0, lam)
+
+    def _div_linear_sum(self, a, other, b, lam) -> "GradedClass":
+        """(a*self + b*other) capped with 1/(1 + lam*H), for rationals a and b, by
+        one _reduce: the sum is X_k/D over the least common D of a/den and b/den',
+        and Y_k = X_k/D - lam*Y_(k-1) is C_k/(D*q^n) for lam = p/q and the integers
+        C_k = X_k*q^n - p*C_(k-1)/q, exact since C_(k-1) carries q^(n-k+1)."""
+        self._check_dim(other)
+        p, q = as_rational(lam).as_integer_ratio()
+        n, nums, den = self.ambient_dim, self._nums, self._den
+        if b:  # X_k in one pass, and a = 1; with b = 0, X_k = a*N_k in the recurrence
+            pairs = [(a.numerator, a.denominator * den), (b.numerator, b.denominator * other._den)]
+            (ta, tb), den = _gather(pairs)
+            nums, a = [ta * x + tb * y for x, y in zip(nums, other._nums)], 1
         qn, out, c = q**n, [], 0
-        for x in self._nums:
-            c = x * qn - p * c // q
+        scale = a.numerator * qn
+        for x in nums:
+            c = x * scale - p * c // q
             out.append(c)
-        return GradedClass._reduce(n, out, self._den * qn)
+        return GradedClass._reduce(n, out, den * a.denominator * qn)
 
     def degree_zero_part(self) -> Fraction:
         """Coefficient of the point class [P^0]."""

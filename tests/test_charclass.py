@@ -448,11 +448,13 @@ class TestSpecShapeReader:
             for k in range(24)}}
         sparse = {"n": 120, "r": 117, "d": "7/3", "polar": {
             "0": _wire_polar(120, c3="7/3"), "2": _wire_polar(120, c5="-41")}}
-        want = [_per_class_spec(dense), _per_class_spec(sparse)]
+        zero = {**sparse, "polar": {**sparse["polar"], "1": _wire_polar(120)}}  # all "0"
+        want = [_per_class_spec(dense), _per_class_spec(sparse), _per_class_spec(zero)]
         monkeypatch.setattr(GradedClass, "_wire_nums", classmethod(forbidden))
-        assert [HypersurfaceSpec.from_json(dense), HypersurfaceSpec.from_json(sparse)] == want
+        got = [HypersurfaceSpec.from_json(data) for data in (dense, sparse, zero)]
+        assert got == want
         with pytest.raises(AssertionError, match="through _wire_nums"):
-            HypersurfaceSpec.from_json({**sparse, "polar": {"0": _wire_polar(120, c3="0")}})
+            HypersurfaceSpec.from_json({**sparse, "polar": {"0": _wire_polar(120, c4="5")}})
 
     @pytest.mark.parametrize(("n", "r"), [(3, 5), (3, 3), (0, 0), (3, 8), (3, 10**30)])
     def test_r_out_of_range_after_every_literal(self, n, r):
@@ -699,6 +701,17 @@ class TestIntegerDoubleSum:
         spec = HypersurfaceSpec(5, 3, F(2), {})
         assert cc.mather_double_sum(spec) == GradedClass.zero(5) == _reference_double_sum(spec)
 
+    @pytest.mark.parametrize("n,r,share", [(3, 2, 1), (24, 23, 1), (24, 11, 0.5),
+                                           (120, 119, 0.2), (240, 239, 1), (240, 100, 0.3)])
+    def test_matches_comb_loop_up_to_240(self, n, r, share):
+        rng = random.Random(f"double-sum-{n}-{r}")
+        degrees = [F(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 90)),
+                     rng.choice((1, 1, 3, 7**5, 2**40 + 1)))
+                   if k == 0 or rng.random() < share else 0 for k in range(r + 1)]
+        spec = spec_polar(n, r, F(5, 3), degrees)
+        assert any(x < 0 for x in spec._signed) and spec._den > 1
+        assert cc.mather_double_sum(spec) == _reference_double_sum(spec)
+
 
 class TestInvariantData:
     def test_tangent_developable_values(self):
@@ -766,6 +779,68 @@ class TestInterpolatedClass:
         c_f = cc.fulton_class(3, 2)
         for alpha in (F(0), F(1), F(-5, 7), F(12)):
             assert cc.interpolated_class(c_f, c_f, 2, alpha) == c_f
+
+
+_P3_FULTON, _P3_MATHER = cc.fulton_class(3, 4), C(3, 0, 4, 9, 6)
+_P4_FULTON, _P4_MATHER = cc.fulton_class(4, 4), C(4, 0, 4, 9, 6, 1)
+_P3_SERIES = S(3, 1, 2)
+
+
+class TestInterpolationRefusals:
+    """Each faulty operand of the interpolation routes is refused with the
+    error type and message the routes gave when they subtracted c_F from
+    c_Ma first, whichever way the family is computed."""
+
+    PINNED = {  # (c_fulton, c_mather, d, alpha): (error type, message)
+        "P3 vs P4": ((_P3_FULTON, _P4_MATHER, 4, F(1, 3)),
+                     (DimensionMismatchError, "ambient dimensions differ: 4 vs 3")),
+        "P4 vs P3": ((_P4_FULTON, _P3_MATHER, 4, F(1, 3)),
+                     (DimensionMismatchError, "ambient dimensions differ: 3 vs 4")),
+        "mather series": ((_P3_FULTON, _P3_SERIES, 4, F(1, 3)),
+                          (ValidationError, "operand must be HSeries, not GradedClass")),
+        "fulton series": ((_P3_SERIES, _P3_MATHER, 4, F(1, 3)),
+                          (ValidationError, "operand must be GradedClass, not HSeries")),
+        "fulton series on P4": ((S(4, 1), _P3_MATHER, 4, F(1, 3)),
+                                (ValidationError, "operand must be GradedClass, not HSeries")),
+        "fulton None": ((None, _P3_MATHER, 4, F(1, 3)),
+                        (ValidationError, "operand must be GradedClass, not NoneType")),
+        "float alpha": ((_P3_FULTON, _P3_MATHER, 4, 0.5),
+                        (ValidationError, "expected an exact rational, got float")),
+        "float d": ((_P3_FULTON, _P3_MATHER, 4.0, F(1, 3)),
+                    (ValidationError, "expected an exact rational, got float")),
+    }
+
+    @pytest.mark.parametrize("case", PINNED.values(), ids=PINNED.keys())
+    def test_interpolated_class(self, case):
+        (c_fulton, c_mather, d, alpha), (error, message) = case
+        with pytest.raises(error) as caught:
+            cc.interpolated_class(c_fulton, c_mather, d, alpha)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "case", [c for k, c in PINNED.items() if k != "float alpha"],
+        ids=[k for k in PINNED if k != "float alpha"],
+    )
+    def test_csm_from_interpolation(self, case):
+        (c_fulton, c_mather, d, _), (error, message) = case
+        with pytest.raises(error) as caught:
+            cc.csm_from_interpolation(c_fulton, c_mather, d, InvariantData(F(-1), F(2)))
+        assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "c_fulton,c_mather",
+        [(_P3_FULTON, None), (_P3_FULTON, 0), (_P3_SERIES, _P3_SERIES)],
+        ids=["mather None", "mather int", "both series"],
+    )
+    def test_no_operand_escapes_as_a_traceback(self, c_fulton, c_mather):
+        with pytest.raises(ValidationError):
+            cc.interpolated_class(c_fulton, c_mather, 4, F(1, 3))
+        with pytest.raises(ValidationError):
+            cc.csm_from_interpolation(c_fulton, c_mather, 4, InvariantData(F(-1), F(2)))
+
+    def test_string_weights_still_read(self):
+        got = cc.interpolated_class(_P3_FULTON, _P3_MATHER, "4", "1/3")
+        assert got == C(3, 0, 4, 6, 4)
 
 
 class TestCsmRoutes:

@@ -825,6 +825,66 @@ class TestLinearFactorKernel:
             ).cap(cls)
 
 
+_WIDE_Q = 2**89 - 1  # a prime denominator of 89 bits
+
+
+@st.composite
+def _linear_sum_cases(draw):
+    """(A, a, B, b, lam): two classes on one P^n, zero, one-piece, sparse or
+    dense, over denominators that may differ, and weights and a degree among
+    them zero, negative and wide."""
+    n = draw(st.integers(0, 30))
+
+    def graded():
+        kind = draw(st.sampled_from(["zero", "one-piece", "sparse", "dense"]))
+        entry = st.integers(-(10**40), 10**40)
+        if kind == "one-piece":
+            nums = [0] * (n + 1)
+            nums[draw(st.integers(0, n))] = draw(entry)
+        else:
+            share = {"zero": 0, "sparse": 0.3, "dense": 1}[kind]
+            nums = [draw(entry) if draw(st.floats(0, 1)) < share else 0 for _ in range(n + 1)]
+        den = draw(st.sampled_from([1, 3, 7**5, 2**61 - 1, _WIDE_Q]))
+        return GradedClass._reduce(n, nums, den)
+
+    rational = st.one_of(
+        st.sampled_from([0, 1, -1, F(0), F(-3, 5), F(3, 5), F(24, 7), F(-5, 3), F(1, _WIDE_Q)]),
+        st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**6),
+    )
+    return graded(), draw(rational), graded(), draw(rational), draw(rational)
+
+
+class TestTwoClassLinearFactorKernel:
+    """_div_linear_sum gives (a*A + b*B) capped with 1/(1 + lam*H) in one
+    pass: the same integers as the sum, the scalings and div_linear, and as
+    the cap by the inverse line-bundle series."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_linear_sum_cases())
+    @example((C(3, 0, 4, F(-7, 2), 1), F(-3, 5), C(3, F(1, 9), 0, 0, 2), F(3, 5), F(0)))
+    @example((C(3, 0, 4, 1, 1), 0, C(3, F(1, 9), 0, 5, 2), 0, F(-5, 3)))
+    @example((C(2, 0, 0, 0), F(2), C(2, 1, F(1, 3), 0), F(0), F(1, _WIDE_Q)))
+    def test_matches_sum_then_division(self, case):
+        a_cls, a, b_cls, b, lam = case
+        got = a_cls._div_linear_sum(a, b_cls, b, lam)
+        total = a_cls * a + b_cls * b
+        n = a_cls.ambient_dim
+        for want in (total.div_linear(lam), LineBundleOnPn(lam).chern(n, -1).cap(total)):
+            assert (got._nums, got._den) == (want._nums, want._den)
+        assert type(got) is GradedClass and all(type(x) is int for x in got._nums)
+
+    def test_one_class_case_is_div_linear(self):
+        cls = C(4, F(1, 3), 0, -5, F(7, 2), 11)
+        for lam in _DEGREES:
+            assert cls.div_linear(lam) == cls._div_linear_sum(1, cls, 0, lam)
+            assert cls._div_linear_sum(F(-2, 9), cls, 0, lam) == (cls * F(-2, 9)).div_linear(lam)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_other_class_on_another_pn_is_refused(self, m):
+        with pytest.raises(DimensionMismatchError, match=f"ambient dimensions differ: 3 vs {m}"):
+            C(3, 1, 2, 3, 4)._div_linear_sum(1, GradedClass.zero(m), 1, 2)
+
+
 class TestDualAndTwist:
     def test_dual_signs(self):
         assert C(3, 0, 4, -7, 10).dual(3) == C(3, 0, -4, -7, -10)

@@ -141,3 +141,34 @@ def test_linear_factor_kernel_calls_no_traced_kernel(monkeypatch):
     product = GradedClass.from_coeffs(3, [0, -2, F(-39, 2), F(-89, 3)])
     assert cls.mul_linear(F(1, 2), F(4)) == product
     assert cls.div_linear(F(4)) == GradedClass.from_coeffs(3, [0, -4, 9, F(-118, 3)])
+
+
+def test_two_class_linear_factor_kernel_calls_no_traced_kernel(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the linear-factor kernel must not call a traced kernel")
+
+    a = GradedClass.from_coeffs(3, [0, -4, -7, F(-10, 3)])
+    b = GradedClass.from_coeffs(3, [F(1, 6), 0, 5, 2])
+    want = (a * F(2, 5) + b * F(-7)).div_linear(F(4, 3))
+    one_class = (a * F(2, 5)).div_linear(F(4, 3))
+    for attr in ("cap", "__mul__", "__rmul__"):
+        monkeypatch.setattr(HSeries, attr, forbidden)
+    for attr in ("twist", "dual", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(GradedClass, attr, forbidden)
+    monkeypatch.setattr(LineBundleOnPn, "chern", forbidden)
+    assert a._div_linear_sum(F(2, 5), b, F(-7), F(4, 3)) == want
+    assert a._div_linear_sum(F(2, 5), b, 0, F(4, 3)) == one_class
+
+
+def test_two_class_linear_factor_kernel_result_is_counted_once():
+    a = GradedClass(3, (F(0), F(-4, 3), F(7), F(1, 6)))
+    b = GradedClass(3, (F(2, 9), F(0), F(-1), F(5)))
+    tracer = _tracer()
+    tracer.install()
+    try:
+        for weights in ((F(-3, 5), F(3, 5)), (F(2), 0), (0, F(1, 7)), (0, 0)):
+            before = tracer.counters["chow.objects_built"]
+            a._div_linear_sum(weights[0], b, weights[1], F(-5, 3))
+            assert tracer.counters["chow.objects_built"] == before + 1, weights
+    finally:
+        tracer.uninstall()
