@@ -64,6 +64,13 @@ from .errors import (
 )
 
 
+def _check_type(value, kind, what):
+    """Refuse an argument that is not a kind with ValidationError, by one isinstance."""
+    if not isinstance(value, kind):
+        noun = ("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__
+        raise ValidationError(f"{what} must be {noun}, got {type(value).__name__}")
+
+
 class InvariantData(_Value):
     """The invariant pair (chi, Eu) and the derived interpolation weights.
 
@@ -288,12 +295,14 @@ def total_polar_class(spec: HypersurfaceSpec) -> GradedClass:
     multiply it by (-1)^(n-r) * (-1)^(n-r+k) = (-1)^k; so the polar
     classes are gathered as (-1)^k [P_k] and twisted once, cached on the spec.
     """
+    _check_type(spec, HypersurfaceSpec, "spec")
     return spec._total_polar
 
 
 def mather_from_polar(spec: HypersurfaceSpec) -> GradedClass:
     """Chern-Mather class as c(TP^n) cap [P] (Piene), capped once per spec:
     cached on the spec, like [P], and read by :func:`csm_from_polar`."""
+    _check_type(spec, HypersurfaceSpec, "spec")
     return spec._mather
 
 
@@ -307,6 +316,7 @@ def mather_double_sum(spec: HypersurfaceSpec) -> GradedClass:
     On integers, [P_j] = T_j/den in codimension n-r+j adds (-1)^j * C(m, i) *
     T_j to n-r+j+i, m = r+1-j, by the exact step C(m, i+1) = C(m, i)*(m-i)/(i+1).
     """
+    _check_type(spec, HypersurfaceSpec, "spec")
     n, r = spec.n, spec.r
     out = [0] * (n + 1)
     for j, t in enumerate(spec._signed):
@@ -340,6 +350,7 @@ def csm_from_interpolation(
     c_fulton: GradedClass, c_mather: GradedClass, d, inv: InvariantData
 ) -> GradedClass:
     """Chern-Schwartz-MacPherson class: the interpolation at alpha = rho."""
+    _check_type(inv, InvariantData, "inv")
     return interpolated_class(c_fulton, c_mather, d, inv.rho)
 
 
@@ -354,6 +365,8 @@ def csm_from_polar(spec: HypersurfaceSpec, inv: InvariantData) -> GradedClass:
     ``spec.d`` times H; the cap with the one-piece [X] is O(n), and rho times it
     plus sigma c_Ma is divided by (1 + rho*d*H) in one linear-factor kernel pass.
     """
+    _check_type(spec, HypersurfaceSpec, "spec")
+    _check_type(inv, InvariantData, "inv")
     virtual = (spec.ambient_tangent or tangent_chern(spec.n)).cap(spec.fundamental_class)
     return virtual._div_linear_sum(inv.rho, mather_from_polar(spec), inv.sigma, inv.rho * spec.d)
 
@@ -365,12 +378,16 @@ def segre_ym_to_yx(s_ym: GradedClass, d, inv: InvariantData) -> GradedClass:
 
     one multiplication in the linear-factor kernel.
     """
+    _check_type(s_ym, GradedClass, "s_ym")
+    _check_type(inv, InvariantData, "inv")
     return s_ym.mul_linear(1 / inv.sigma, d)
 
 
 def segre_yx_to_ym(s_yx: GradedClass, d, inv: InvariantData) -> GradedClass:
     """Inverse conversion: s(Y,M) = sigma/(1 + sigma X) cap s(Y,X), in one
     pass of the linear-factor kernel, the scaling by sigma folded in."""
+    _check_type(s_yx, GradedClass, "s_yx")
+    _check_type(inv, InvariantData, "inv")
     return s_yx._div_linear_sum(inv.sigma, s_yx, 0, inv.sigma * as_rational(d))
 
 
@@ -379,6 +396,7 @@ def mather_from_segre(s_yx: GradedClass, n: int, d) -> GradedClass:
 
         c_Ma = c(TP^n) cap ( [X]/(1+X) + dual(s(Y,X)) twisted by O(d) ).
     """
+    _check_type(s_yx, GradedClass, "s_yx")
     d = as_rational(d)
     x_in_pn = GradedClass.single(n, 1, d).div_linear(d)  # s(X, P^n) = [X]/(1+X)
     return tangent_chern(n).cap(x_in_pn + s_yx.dual(n).twist(LineBundleOnPn(d), n))
@@ -393,6 +411,7 @@ def csm_from_segre(s_ym: GradedClass, n: int, d) -> GradedClass:
     :func:`mather_from_segre` with s(Y,X) replaced by c(L) cap s(Y,M), one
     multiplication by (1 + d*H) in the linear-factor kernel.
     """
+    _check_type(s_ym, GradedClass, "s_ym")
     return mather_from_segre(s_ym.mul_linear(1, d), n, d)
 
 
@@ -411,8 +430,8 @@ def segre_from_polar(
     form [X] + dual([P]) twisted by O(d).  As twist(G, r+1) = c(L)^(n-r-1)
     cap twist(G, n), the division cancels: the twist is taken relative to n.
     """
-    if not isinstance(normal, BundleData):
-        raise ValidationError(f"normal must be a BundleData, got {type(normal).__name__}")
+    _check_type(spec, HypersurfaceSpec, "spec")
+    _check_type(normal, BundleData, "normal")
     if normal.rank != spec.n - spec.r:
         raise ValidationError(
             f"normal bundle rank {normal.rank} != codimension {spec.n - spec.r}"
@@ -428,6 +447,7 @@ def solver_lhs(c_mather: GradedClass, c_fulton: GradedClass, d) -> GradedClass:
     """(1 + X) cap (c_Ma - c_F): the singular correction term that the
     invariant solver equates with ((Eu-chi) + (Eu-1)X) . (c(TY') cap [Y']),
     one multiplication by (1 + d*H) in the linear-factor kernel."""
+    _check_type(c_mather, GradedClass, "c_mather")
     return (c_mather - c_fulton).mul_linear(1, d)
 
 
@@ -447,6 +467,8 @@ def solve_invariants(
     bidiagonal: the first row k0 with c_y[k0] != 0 gives u, row k0+1 gives
     v, so the rank is 2 exactly when d != 0 and k0 < n.
     """
+    _check_type(lhs, GradedClass, "lhs")
+    _check_type(c_y, GradedClass, "c_y")
     if lhs.ambient_dim != c_y.ambient_dim:
         raise DimensionMismatchError("solver inputs disagree on P^n")
     d = as_rational(d)

@@ -146,14 +146,16 @@ def format_rational(value: Fraction) -> str:
 
 
 def _encode(value):
-    """Wire form of a result: rationals as strings, objects by their
-    ``to_json``, dicts, lists and tuples entry by entry."""
-    if isinstance(value, Fraction):
-        return format_rational(value)
+    """Wire form of a result: strings and ints (wire leaves) as they are, dicts,
+    lists and tuples entry by entry, rationals as strings, objects by ``to_json``."""
+    if isinstance(value, (str, int)):
+        return value
     if isinstance(value, dict):
         return {k: _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
+    if isinstance(value, Fraction):  # checked after the concrete types: through ABCMeta
+        return format_rational(value)
     if hasattr(value, "to_json"):
         return value.to_json()
     return value
@@ -382,10 +384,11 @@ class _CoeffVector(_Value):
 
     @classmethod
     def from_coeffs(cls, ambient_dim, values):
-        """Build from coefficients by index, padding with integer zeros and
-        discarding indices above n: only the given entries are coerced."""
+        """Build from coefficients by index, padding with integer zeros and discarding
+        indices above n: only the given entries are coerced, an int (not a bool) as (v, 1)."""
         n = _check_ambient_dim(ambient_dim, "ambient_dim")
-        nums, den = _gather([as_rational(v).as_integer_ratio() for v in islice(values, n + 1)])
+        nums, den = _gather([(v, 1) if _is_int(v) else as_rational(v).as_integer_ratio()
+                             for v in islice(values, n + 1)])
         return cls._reduce(n, nums + [0] * (n + 1 - len(nums)), den)
 
     def _check_dim(self, other, kind=None):

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from importlib.resources import files
+from math import lcm
 
 from . import charclass
 from .charclass import BundleData, HypersurfaceSpec, InvariantData
@@ -82,8 +84,13 @@ class ScenarioReport(_Value):
 
 
 def fixture_json(name: str) -> dict:
-    """Load one of the shipped JSON fixture files by bare name."""
-    return json.loads(files("csmcalc").joinpath("fixtures", name).read_text())
+    """Load one of the shipped JSON fixture files by bare name, its text read once."""
+    return json.loads(_fixture_text(name))
+
+
+@lru_cache(maxsize=8)
+def _fixture_text(name: str) -> str:
+    return files(__package__).joinpath("fixtures", name).read_text()
 
 
 def tangent_developable() -> ScenarioReport:
@@ -146,13 +153,6 @@ def tangent_developable() -> ScenarioReport:
     return report
 
 
-def _interpolate_quadratic(y0, y1, yh):
-    # quadratic through (0, y0), (1, y1), (1/2, yh)
-    a2 = 2 * y0 + 2 * y1 - 4 * yh
-    a1 = y1 - y0 - a2
-    return (y0, a1, a2)
-
-
 def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
     """The cone in P^3 over a degree-d plane curve with exactly one node.
 
@@ -183,10 +183,13 @@ def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
 
     half = Fraction(1, 2)
     at0, at1, athalf = engine(0), engine(1), engine(half)
-    engine_poly = [
-        _interpolate_quadratic(at0.coeffs[k], at1.coeffs[k], athalf.coeffs[k])
-        for k in range(n + 1)
-    ]
+    # each coefficient's quadratic through (0, y0), (1, y1), (1/2, yh), on numerators over den
+    den = lcm(at0._den, at1._den, athalf._den)
+    fit = []
+    for y0, y1, yh in zip(*[[x * (den // c._den) for x in c._nums] for c in (at0, at1, athalf)]):
+        a2 = 2 * y0 + 2 * y1 - 4 * yh
+        fit.append((y0, y1 - y0 - a2, a2))
+    engine_poly = [tuple(Fraction(a, den) for a in p) for p in fit]
 
     expected_poly = {
         1: (Fraction(d), Fraction(0), Fraction(0)),
@@ -202,8 +205,10 @@ def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
             f"alpha_poly_codim_{codim}", engine_poly[codim], expected, "published"
         )
 
-    def reconstructed(alpha) -> GradedClass:  # the class the quadratics give at alpha
-        return GradedClass(n, [sum(c * alpha**i for i, c in enumerate(p)) for p in engine_poly])
+    def reconstructed(alpha) -> GradedClass:  # the class the quadratics give at alpha = p/q
+        p, q = alpha.as_integer_ratio()
+        nums = [(a * q + b * p) * q + c * p * p for a, b, c in fit]
+        return GradedClass._reduce(n, nums, den * q * q)
 
     # the reconstructed quadratics are exact: a fourth weight agrees
     extra = Fraction(1, 3)
