@@ -154,7 +154,7 @@ def _encode(value):
         return {k: _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
-    if isinstance(value, Fraction):  # checked after the concrete types: through ABCMeta
+    if isinstance(value, Fraction):  # after the concrete types: this check runs through ABCMeta
         return format_rational(value)
     if hasattr(value, "to_json"):
         return value.to_json()

@@ -84,7 +84,8 @@ class ScenarioReport(_Value):
 
 
 def fixture_json(name: str) -> dict:
-    """Load one of the shipped JSON fixture files by bare name, its text read once."""
+    """Load one of the shipped JSON fixture files by bare name: a fresh dict per
+    call, from text read once."""
     return json.loads(_fixture_text(name))
 
 

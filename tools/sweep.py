@@ -241,12 +241,16 @@ def main(argv=None) -> int:
             for (row, _, _), got in zip(timed, passes)
         ]
     out = ROOT / f"BENCH_{args.label}.json"
-    meta = {"label": args.label, "python": platform.python_version(),
-            "dont_write_bytecode": sys.dont_write_bytecode, "processor": processor(),
-            "cpu_count": os.cpu_count(), "sizes": list(SIZES)}
-    if args.against:
-        meta["rounds_against"] = ROUNDS
-    out.write_text(json.dumps({**meta, "rows": rows}, indent=1) + "\n")
+    out.write_text(json.dumps({
+        "label": args.label,
+        "python": platform.python_version(),
+        "dont_write_bytecode": sys.dont_write_bytecode,
+        "processor": processor(),
+        "cpu_count": os.cpu_count(),
+        "sizes": list(SIZES),
+        **({"rounds_against": ROUNDS} if args.against else {}),
+        "rows": rows,
+    }, indent=1) + "\n")
     print(out.name)
     return 0
 
