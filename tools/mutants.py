@@ -119,6 +119,8 @@ EQUIVALENT = {
         "only nonzero coefficients are printed, so c > 0 and c >= 0 agree",
     ("chow.py", "HSeries.inverse", "top > 0", "> → >=", 0):
         "top = A_0^(n+1) with A_0 != 0 is never 0, so top > 0 and top >= 0 agree",
+    ("scenarios.py", "_fixture_text", "maxsize=8", "8 → 9", 0):
+        "cache bound only: a cache of 8 or 9 fixture texts reads the same fixtures",
     ("scenarios.py", "ScenarioReport.render_table", "default=0", "0 → 1", 0):
         "the default width is taken only for a report with no entries, which prints no entry line",
     ("scenarios.py", "cone_over_nodal_curve", "Fraction(0)", "0 → 1", 3):
