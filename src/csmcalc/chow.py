@@ -203,25 +203,34 @@ def _bits(v) -> int:
     return max(max(v).bit_length(), min(v).bit_length())
 
 
-def _convolve(a, b) -> list[int]:
-    """Truncated product of two integer vectors of equal length n+1:
-    entry k is the sum of a[i] * b[j] over i + j = k, for k <= n.
+def _dense(n, zeros) -> bool:
+    """At most (n+1)/5 zero entries on P^n, from n = _DENSE_MIN_N on: both kernels sum in C."""
+    return n >= _DENSE_MIN_N and 5 * zeros <= n + 1
 
-    Two operands with few zeros (at most (n+1)/5 between them) from n =
-    _DENSE_MIN_N on take one of two dense paths.  From n = _PACK_MIN_N on,
-    if the bit lengths of a's and b's largest entries sum to at most
-    _PACK_MAX_BITS, both are packed into one int each and multiplied once
-    (_packed_convolve).  Otherwise entry k is summed in C, as one
-    sum(map(mul, ...)) of a against b[k], ..., b[0]: map stops after those
-    k+1 pairs.  Any other operands skip the zeros of both, so the loop
-    visits only pairs of nonzero entries, whichever operand is the sparse
-    one: one-piece, sparse and small products are faster so."""
+
+def _conv_path(a, b) -> tuple:
+    """_convolve's path for a and b, with its arguments: packed from n = _PACK_MIN_N on for
+    _dense operands whose largest entries' bit lengths sum to at most _PACK_MAX_BITS,
+    summed for other _dense operands, and the loop for any others."""
     n = len(a) - 1
-    if n >= _DENSE_MIN_N and 5 * (a.count(0) + b.count(0)) <= n + 1:
+    if _dense(n, a.count(0) + b.count(0)):
         if n >= _PACK_MIN_N and (bits := _bits(a) + _bits(b)) <= _PACK_MAX_BITS:
-            return _packed_convolve(a, b, bits)
-        rb = b[::-1]
-        return [sum(map(mul, a, rb[n - k :])) for k in range(n + 1)]
+            return _packed_convolve, (a, b, bits)
+        return _summed_convolve, (a, b)
+    return _looped_convolve, (a, b)
+
+
+def _convolve(a, b) -> list[int]:
+    """Truncated product of two integer vectors of equal length n+1: entry k is
+    the sum of a[i] * b[j] over i + j = k, for k <= n, by _conv_path's path."""
+    path, args = _conv_path(a, b)
+    return path(*args)
+
+
+def _looped_convolve(a, b) -> list[int]:
+    """_convolve skipping the zeros of both operands, so the loop visits only pairs of nonzero
+    entries, whichever operand is the sparse one: one-piece, sparse and small ones are faster so."""
+    n = len(a) - 1
     inner = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (n + 1)
     for i, x in enumerate(a):
@@ -232,6 +241,13 @@ def _convolve(a, b) -> list[int]:
                 break
             out[i + j] += x * y
     return out
+
+
+def _summed_convolve(a, b) -> list[int]:
+    """_convolve with entry k summed in C: one sum(map(mul, ...)) of a against b[k], ..., b[0]."""
+    n = len(a) - 1
+    rb = b[::-1]
+    return [sum(map(mul, a, rb[n - k :])) for k in range(n + 1)]
 
 
 def _packed_convolve(a, b, bits) -> list[int]:
@@ -278,6 +294,51 @@ def _twist_table(n, e) -> tuple[tuple[int, ...], ...]:
         column = (*(b * (e - j + 1) // (j - k) for k, b in enumerate(column)), 1)
         table.append(column)
     return tuple(table)
+
+
+def _twist_path(nums, e, p, q):
+    """twist's path for pieces nums, e = n - m and lambda = p/q: the table for a _dense class with
+    n <= _TABLE_MAX_N, |e| <= 2n and lambda != 0 of p, q of at most _DENSE_DEGREE_BITS bits."""
+    n = len(nums) - 1
+    narrow = 0 < p.bit_length() <= _DENSE_DEGREE_BITS and q.bit_length() <= _DENSE_DEGREE_BITS
+    if narrow and n <= _TABLE_MAX_N and abs(e) <= 2 * n and _dense(n, nums.count(0)):
+        return _tabled_twist
+    return _rowed_twist
+
+
+def _tabled_twist(nums, e, p, q) -> list[int]:
+    """twist's numerators over q^n summed in C like a dense cap: lambda^(j-k) = lambda^j *
+    lambda^(-k), so with A_k = N_k * q^k * p^(n-k) entry j is sum(map(mul, A, column j of
+    _twist_table(n, e))) divided exactly by p^(n-j) and times q^(n-j); A = N when lambda = 1.
+    A and the divisions grow with p and q: past _DENSE_DEGREE_BITS the rows are faster."""
+    n = len(nums) - 1
+    columns = _twist_table(n, e)
+    if p == q:  # lambda = 1: no scaling
+        return [sum(map(mul, nums, c)) for c in columns]
+    scaled = [x * q**k * p ** (n - k) for k, x in enumerate(nums)]  # A_k
+    return [sum(map(mul, scaled, c)) // p ** (n - j) * q ** (n - j) for j, c in enumerate(columns)]
+
+
+def _rowed_twist(nums, e, p, q) -> list[int]:
+    """twist's numerators over q^n by rows: N_k * C(e-k, i) * p^i * q^(n-i) is added to entry
+    k+i for each nonzero piece k.  Piece k's binomial row is piece k-1's stepped by Pascal's
+    rule C(e-1, i) = C(e, i) - C(e-1, i-1) if piece k-1 is nonzero, else fresh."""
+    n = len(nums) - 1
+    scale = [p**i * q ** (n - i) for i in range(n + 1)]
+    out = [0] * (n + 1)
+    for k, num in enumerate(nums):
+        if not num:
+            continue
+        # truncated at codimension n: the power is needed mod H^(n+1-k)
+        if k and nums[k - 1]:
+            c = 0
+            row = [c := b - c for b in row[:-1]]
+        else:
+            row = _binomials(e - k, n + 1 - k)
+        for i, b in enumerate(row):
+            if b:
+                out[k + i] += num * b * scale[i]
+    return out
 
 
 def _alternate(coeffs, shift=0) -> tuple:
@@ -608,62 +669,19 @@ class GradedClass(_CoeffVector):
     ) -> "GradedClass":
         """Rescale each piece by a power of a line bundle's total Chern class.
 
-        The piece of dimension p is multiplied by c(L)^(p-m), i.e. by
-        (1 + lambda*H) to the power minus its codimension in M.  The
-        result is regraded and truncated beyond codimension n: with
-        e = n - m, entry j is the sum over k <= j of a_k * C(e-k, j-k) *
-        lambda^(j-k).  Computed on integers, with lambda = p/q and piece
-        a_k = N_k/den, over den * q^n, in one of two ways:
-
-        - A class with few zero pieces (at most (n+1)/5) for _DENSE_MIN_N
-          <= n <= _TABLE_MAX_N and |e| <= 2n, which bound the cached table,
-          and lambda != 0 with p and q of at most _DENSE_DEGREE_BITS bits,
-          is summed in C like a dense cap:
-          lambda^(j-k) = lambda^j * lambda^(-k), so with A_k = N_k * q^k *
-          p^(n-k) entry j is sum(map(mul, A, column j of _twist_table(n, e)))
-          divided exactly by p^(n-j) and times q^(n-j); A = N when lambda = 1.
-          Those operands grow with p and q, and the divisions grow with p
-          squared: past the bound the row loop is faster.
-        - Any other class adds N_k * C(e-k, i) * p^i * q^(n-i) to entry k+i
-          for each nonzero piece k.  Piece k's binomial row is piece k-1's
-          stepped by Pascal's rule C(e-1, i) = C(e, i) - C(e-1, i-1) if
-          piece k-1 is nonzero, else fresh; zero pieces cost nothing.
+        The piece of dimension p is multiplied by c(L)^(p-m), i.e. by (1 + lambda*H) to the power
+        minus its codimension in M.  The result is regraded and truncated beyond codimension n: with
+        e = n - m, entry j is the sum over k <= j of a_k * C(e-k, j-k) * lambda^(j-k), on integers
+        over den * q^n for lambda = p/q and a_k = N_k/den, by _twist_path's path.
         """
         if not isinstance(bundle, LineBundleOnPn):
             raise ValidationError(
                 f"twist needs a LineBundleOnPn, got {type(bundle).__name__}"
             )
-        n = self.ambient_dim
-        m = self._relative_dim(relative_dim)
-        p, q = bundle.degree.numerator, bundle.degree.denominator
-        nums = self._nums
-        narrow = 0 < p.bit_length() <= _DENSE_DEGREE_BITS and q.bit_length() <= _DENSE_DEGREE_BITS
-        tabled = _DENSE_MIN_N <= n <= _TABLE_MAX_N and abs(n - m) <= 2 * n
-        if narrow and tabled and 5 * nums.count(0) <= n + 1:
-            columns = _twist_table(n, n - m)
-            if p == q:  # lambda = 1: no scaling
-                return GradedClass._reduce(n, [sum(map(mul, nums, c)) for c in columns], self._den)
-            scaled = [x * q**k * p ** (n - k) for k, x in enumerate(nums)]  # A_k
-            out = [
-                sum(map(mul, scaled, c)) // p ** (n - j) * q ** (n - j)
-                for j, c in enumerate(columns)
-            ]
-            return GradedClass._reduce(n, out, self._den * q**n)
-        scale = [p**i * q ** (n - i) for i in range(n + 1)]
-        out = [0] * (n + 1)
-        for k, num in enumerate(nums):
-            if not num:
-                continue
-            # truncated at codimension n: the power is needed mod H^(n+1-k)
-            if k and nums[k - 1]:
-                c = 0
-                row = [c := b - c for b in row[:-1]]
-            else:
-                row = _binomials(n - k - m, n + 1 - k)
-            for i, b in enumerate(row):
-                if b:
-                    out[k + i] += num * b * scale[i]
-        return GradedClass._reduce(n, out, self._den * q**n)
+        n, (p, q) = self.ambient_dim, bundle.degree.as_integer_ratio()
+        e = n - self._relative_dim(relative_dim)
+        path = _twist_path(self._nums, e, p, q)
+        return GradedClass._reduce(n, path(self._nums, e, p, q), self._den * q**n)
 
     # The linear-factor kernel: cap with (a + b*H), or a sum of two classes
     # with 1/(1 + lam*H), in O(n) on numerators N_k over a denominator den.

@@ -217,14 +217,13 @@ def cone_over_nodal_curve(d: int = 3) -> ScenarioReport:
         "engine_matches_poly_at_extra_alpha", engine(extra), reconstructed(extra), "derived"
     )
 
-    sweep = [Fraction(0), Fraction(1), half, Fraction(-1), Fraction(2), Fraction(3, 7)]
-    mismatches = [format_rational(a) for a in sweep if engine(a) != reconstructed(a)]
+    sweep = [(Fraction(0), at0), (Fraction(1), at1), (half, athalf)]  # the fit's own classes
+    sweep += [(a, engine(a)) for a in (Fraction(-1), Fraction(2), Fraction(3, 7))]
+    mismatches = [format_rational(a) for a, got in sweep if got != reconstructed(a)]
     report.check("alpha_sweep_consistent", {"mismatched_alphas": mismatches},
                  {"mismatched_alphas": []}, "derived")
 
-    csm = GradedClass.from_coeffs(
-        n, [0, d, 1 + 4 * d - d * d, 2 + 3 * d - d * d]
-    )
+    csm = GradedClass.from_coeffs(n, [0, d, 1 + 4 * d - d * d, 2 + 3 * d - d * d])
     report.check(
         "csm_codim2_matches_at_alpha_half",
         athalf.coeffs[2],

@@ -447,33 +447,11 @@ _KINDS = ("one-piece", "sparse", "mixed", "dense", "zero")
 _SIZES = (0, 1, 2, 7, 8, 11, 12, 13, 16, 24, 120)  # both sides of _DENSE_MIN_N = 12
 
 
-def _convolve_path(monkeypatch, a, b) -> str:
-    """Which of _convolve's three paths takes a and b: the C sum is the one
-    path that calls operator.mul, the packed one calls _packed_convolve."""
-    paths = []
-
-    def counted(x, y):
-        paths.append("summed")
-        return x * y
-
-    def packed(*args):
-        paths.append("packed")
-        return packed_convolve(*args)
-
-    packed_convolve = chow._packed_convolve
-    monkeypatch.setattr(chow, "mul", counted)
-    monkeypatch.setattr(chow, "_packed_convolve", packed)
-    got = _convolve(a, b)
-    monkeypatch.undo()
-    assert got == _reference_int_convolve(a, b)
-    return paths[0] if paths else "loop"
-
-
 class TestConvolveSelection:
-    """_convolve packs two operands with few zeros from n = 64 on, when the
+    """_conv_path packs two operands with few zeros from n = 64 on, when the
     bit lengths of their largest entries sum to at most 256; it sums other
     such operands in C from n = 12 on, and skips zeros otherwise.  All
-    three ways give the double loop's integers."""
+    three paths give the double loop's integers."""
 
     @pytest.mark.parametrize("n", _SIZES)
     def test_matches_double_loop(self, n):
@@ -493,26 +471,39 @@ class TestConvolveSelection:
             (63, 0, 0, True), (64, 0, 0, "packed"), (64, 13, 0, "packed"), (64, 7, 7, False),
         ],
     )
-    def test_rule(self, monkeypatch, n, zeros_a, zeros_b, summed):
+    def test_rule(self, n, zeros_a, zeros_b, summed):
         # summed: True for the C sums, False for the loop, or "packed"
         a = [0] * zeros_a + [2 + k for k in range(n + 1 - zeros_a)]
         b = [3 + k for k in range(n + 1 - zeros_b)] + [0] * zeros_b
-        path = {True: "summed", False: "loop"}.get(summed, summed)
-        assert _convolve_path(monkeypatch, a, b) == path
+        path = {True: "summed", False: "looped"}.get(summed, summed)
+        bits = (chow._bits(a) + chow._bits(b),) if path == "packed" else ()
+        assert chow._conv_path(a, b) == (getattr(chow, f"_{path}_convolve"), (a, b, *bits))
 
     @pytest.mark.parametrize(
         "n,bits,path",
         [(64, 256, "packed"), (64, 257, "summed"), (240, 256, "packed"), (240, 257, "summed")],
     )
-    def test_width_rule(self, monkeypatch, n, bits, path):
+    def test_width_rule(self, n, bits, path):
         # packed for at most 256 bits of both operands' largest entries: a's
         # largest takes the bits that b's, n + 3, leaves
         a = [2 + k for k in range(n)] + [-(2 ** (bits - (n + 3).bit_length()) - 1)]
         b = [3 + k for k in range(n + 1)]
-        assert _convolve_path(monkeypatch, a, b) == path
+        args = (a, b, bits) if path == "packed" else (a, b)
+        assert chow._conv_path(a, b) == (getattr(chow, f"_{path}_convolve"), args)
+
+    def test_kernel_takes_the_rule_path(self, monkeypatch):
+        seen = []  # a stub rule and its stub path: * returns what that path returns
+
+        def rule(a, b):
+            seen.append((a, b))
+            return (lambda *args: seen.append(args) or [5, 6]), ("x", 1)
+
+        monkeypatch.setattr(chow, "_conv_path", rule)
+        assert S(1, 1, 2) * S(1, 3, 4) == S(1, 5, 6)
+        assert seen == [((1, 2), (3, 4)), ("x", 1)]
 
     @pytest.mark.parametrize("n", [12, 24, 120])
-    def test_cap_same_on_both_paths(self, monkeypatch, n):
+    def test_cap_same_on_both_paths(self, n):
         rng = random.Random(f"cap-{n}")
         wide = HSeries._reduce(n, _int_operand(rng, n, "dense"), 3**n)
         narrow = [rng.choice((-1, 1)) * rng.getrandbits(14) for _ in range(n + 1)]
@@ -521,26 +512,16 @@ class TestConvolveSelection:
             (wide, GradedClass._reduce(n, _int_operand(rng, n, "dense"), 10**5)),
             (tangent_chern(n), GradedClass._reduce(n, narrow, 11)),
         ]
-        # all three paths, each forced for every dense pair, whatever its n and widths
-        forced = {
-            "loop": {"_DENSE_MIN_N": n + 1},
-            "summed": {"_PACK_MIN_N": n + 1},
-            "packed": {"_PACK_MIN_N": 0, "_PACK_MAX_BITS": 10**6},
-        }
+        # every path on every dense pair, whatever its n and widths
         for series, cls in pairs:
-            results = []
-            for constants in forced.values():
-                for name, value in constants.items():
-                    monkeypatch.setattr(chow, name, value)
-                results.append(series.cap(cls))
-                monkeypatch.undo()
-            assert results[0] == results[1] == results[2]
-            assert len({hash(r) for r in results}) == 1
-            assert results[0].to_json() == results[1].to_json() == results[2].to_json()
+            a, b = cls._nums, series._nums
+            got = [path(a, b) for path in (chow._looped_convolve, chow._summed_convolve)]
+            got.append(chow._packed_convolve(a, b, chow._bits(a) + chow._bits(b)))
+            assert got[0] == got[1] == got[2] == _reference_int_convolve(a, b)
+            assert series.cap(cls) == GradedClass._reduce(n, got[2], cls._den * series._den)
         # the real n = 120 shape, a 14-bit class against c(TP^n), is packed
-        assert _convolve_path(monkeypatch, pairs[2][1]._nums, pairs[2][0]._nums) == (
-            "packed" if n == 120 else "summed"
-        )
+        path = chow._conv_path(pairs[2][1]._nums, pairs[2][0]._nums)[0]
+        assert path is (chow._packed_convolve if n == 120 else chow._summed_convolve)
 
 
 @st.composite
@@ -608,10 +589,10 @@ _TWIST_DEGREES = [F(1), F(-1), F(4), F(7, 2), F(-5, 3), F(1, 9), F(10**200 + 1)]
 
 
 class TestTwistSelection:
-    """twist sums in C a class with few zero pieces from n = 12 on, for a
-    nonzero degree p/q of at most 16-bit p and q, by one cached binomial
+    """_twist_path sums in C a class with few zero pieces from n = 12 on, for
+    a nonzero degree p/q of at most 16-bit p and q, by one cached binomial
     table per (n, e = n - m) for n <= 240 and |e| <= 2n; everything else
-    keeps the row loop.  Both ways give the same integers."""
+    keeps the row loop.  Both paths give the same integers."""
 
     @pytest.mark.parametrize(
         "n,zeros,degree,e,summed",
@@ -629,44 +610,44 @@ class TestTwistSelection:
             (24, 0, F(-2, 3), -49, False),
         ],
     )
-    def test_rule(self, monkeypatch, n, zeros, degree, e, summed):
-        # the dense path is the one that calls operator.mul
-        calls = []
-
-        def counted(x, y):
-            calls.append(1)
-            return x * y
-
+    def test_rule(self, n, zeros, degree, e, summed):
         a = [2 + k for k in range(n + 1)]
         for i in range(zeros):  # spread over the class, first piece included
             a[i * (n + 1) // zeros] = 0
-        cls, bundle = GradedClass._reduce(n, a, 5), LineBundleOnPn(degree)
-        monkeypatch.setattr(chow, "_DENSE_MIN_N", n + 1)
-        looped = cls.twist(bundle, n - e)
-        monkeypatch.undo()
-        monkeypatch.setattr(chow, "mul", counted)
-        assert cls.twist(bundle, n - e) == looped
-        assert bool(calls) is summed
+        args = (tuple(a), e, *degree.as_integer_ratio())
+        path = chow._twist_path(*args)
+        assert path is (chow._tabled_twist if summed else chow._rowed_twist)
+        if summed:
+            assert path(*args) == chow._rowed_twist(*args)
+
+    def test_kernel_takes_the_rule_path(self, monkeypatch):
+        seen = []  # a stub rule and its stub path: twist reduces what that path returns
+
+        def rule(*args):
+            seen.append(args)
+            return lambda *got: seen.append(got) or [9, 8, 7, 6]
+
+        monkeypatch.setattr(chow, "_twist_path", rule)
+        got = GradedClass._reduce(3, [1, 2, 3, 4], 5).twist(LineBundleOnPn(F(7, 2)), 1)
+        assert got == GradedClass._reduce(3, [9, 8, 7, 6], 5 * 2**3)
+        assert seen == [((1, 2, 3, 4), 2, 7, 2)] * 2
 
     @pytest.mark.parametrize("n", [12, 24, 120])
-    def test_same_on_both_paths(self, monkeypatch, n):
+    def test_same_on_both_paths(self, n):
         rng = random.Random(f"twist-{n}")
         integer = GradedClass._reduce(n, _int_operand(rng, n, "dense"), 1)
         signs = [rng.choice((-1, 1)) for _ in range(n + 1)]
         rational = GradedClass(n, [F(s * rng.randint(1, 99), rng.randint(1, 30)) for s in signs])
         for cls in (integer, rational):
-            # 10^200 + 1 is summed only with the degree bound lifted, and at
-            # n = 120 its 24,000-digit entries take seconds: left out there
+            # the table for 10^200 + 1 too, whatever its width; at n = 120 its
+            # 24,000-digit entries take seconds: left out there
             for degree in _TWIST_DEGREES if n < 120 else _TWIST_DEGREES[:-1]:
-                bundle = LineBundleOnPn(degree)
+                p, q = degree.as_integer_ratio()
                 for m in (n, n - 1, n + 2, 0, -3):
-                    monkeypatch.setattr(chow, "_DENSE_DEGREE_BITS", 700)
-                    summed = cls.twist(bundle, m)
-                    monkeypatch.setattr(chow, "_DENSE_MIN_N", n + 1)
-                    looped = cls.twist(bundle, m)
-                    monkeypatch.undo()
-                    assert summed == looped and hash(summed) == hash(looped), (degree, m)
-                    assert summed.to_json() == looped.to_json(), (degree, m)
+                    args = (cls._nums, n - m, p, q)
+                    assert chow._tabled_twist(*args) == chow._rowed_twist(*args), (degree, m)
+                    twisted = GradedClass._reduce(n, chow._rowed_twist(*args), cls._den * q**n)
+                    assert cls.twist(LineBundleOnPn(degree), m) == twisted
 
     def test_table_cache_is_bounded(self):
         GradedClass._reduce(24, range(1, 26), 1).twist(LineBundleOnPn(3), 20)
