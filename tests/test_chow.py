@@ -478,6 +478,7 @@ class TestConvolveSelection:
         path = {True: "summed", False: "looped"}.get(summed, summed)
         bits = (chow._bits(a) + chow._bits(b),) if path == "packed" else ()
         assert chow._conv_path(a, b) == (getattr(chow, f"_{path}_convolve"), (a, b, *bits))
+        assert _convolve(a, b) == _reference_int_convolve(a, b)
 
     @pytest.mark.parametrize(
         "n,bits,path",
@@ -490,6 +491,7 @@ class TestConvolveSelection:
         b = [3 + k for k in range(n + 1)]
         args = (a, b, bits) if path == "packed" else (a, b)
         assert chow._conv_path(a, b) == (getattr(chow, f"_{path}_convolve"), args)
+        assert _convolve(a, b) == _reference_int_convolve(a, b)
 
     def test_kernel_takes_the_rule_path(self, monkeypatch):
         seen = []  # a stub rule and its stub path: * returns what that path returns
@@ -617,8 +619,7 @@ class TestTwistSelection:
         args = (tuple(a), e, *degree.as_integer_ratio())
         path = chow._twist_path(*args)
         assert path is (chow._tabled_twist if summed else chow._rowed_twist)
-        if summed:
-            assert path(*args) == chow._rowed_twist(*args)
+        assert path(*args) == chow._rowed_twist(*args)
 
     def test_kernel_takes_the_rule_path(self, monkeypatch):
         seen = []  # a stub rule and its stub path: twist reduces what that path returns

@@ -391,6 +391,20 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: internal: RuntimeError: kernel fault\n"
 
+    @pytest.mark.parametrize(
+        "error,code",
+        [(csmcalc.CharClassError, 1), (csmcalc.InputParseError, 2), (csmcalc.ValidationError, 3),
+         (csmcalc.DimensionMismatchError, 3), (csmcalc.NonUnitError, 3),
+         (csmcalc.UnderdeterminedSystemError, 3), (csmcalc.DegenerateInvariantsError, 4),
+         (csmcalc.InconsistentSystemError, 5)],
+    )
+    def test_each_error_type_exits_with_its_code(self, capsys, monkeypatch, error, code):
+        def refused(args):
+            raise error("refused")
+
+        monkeypatch.setattr("csmcalc.cli._cmd_fulton", refused)
+        assert invoke(capsys, "fulton", "--n", "3", "--d", "4") == (code, "", "error: refused\n")
+
     def test_oversize_json_number_is_parse_error(self, capsys):
         spec = SPEC_JSON.replace('"n": 3', '"n": ' + "3" * 5000)
         assert spec != SPEC_JSON

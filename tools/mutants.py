@@ -123,10 +123,6 @@ EQUIVALENT = {
         "cache bound only: a cache of 8 or 9 fixture texts reads the same fixtures",
     ("scenarios.py", "ScenarioReport.render_table", "default=0", "0 → 1", 0):
         "the default width is taken only for a report with no entries, which prints no entry line",
-    ("scenarios.py", "cone_over_nodal_curve", "Fraction(0)", "0 → 1", 3):
-        _SWEEP,
-    ("scenarios.py", "cone_over_nodal_curve", "Fraction(1)", "1 → 2", 0):
-        _SWEEP,
     ("scenarios.py", "cone_over_nodal_curve", "-1", "1 → 2", 0):
         _SWEEP,
     ("scenarios.py", "cone_over_nodal_curve", "Fraction(2)", "2 → 3", 0):

@@ -12,8 +12,13 @@ script.  For each n in ``SIZES`` the file holds the median
 * ``_convolve`` and ``HSeries.cap`` of c(TP^n) with a one-piece class, a
   dense class of 14-bit entries (``dense-narrow``, the shape of the polar
   route's cap) and one of 400-bit entries (``dense-wide``);
+* ``GradedClass.twist`` to m = n - 1 of the one-piece class at lambda = 1
+  and of the dense-narrow class at lambda = 1 and -5/3, and ``HSeries.__mul__``
+  of c(TP^n) by itself;
 * ``_reduce`` of the raw result of ``div_linear`` at lambda = 24/7 on the
-  dense-narrow class;
+  dense-narrow class,
+
+  each with the SHA-256 of its wire output;
 * every formula route on ``sparse`` polar data (only P_0 and P_1 nonzero)
   and on ``dense`` polar data (every P_k nonzero), with the SHA-256 of the
   route's wire output, which two trees that compute the same answers
@@ -110,6 +115,11 @@ def kernel_rows(chow, n, data) -> list[tuple]:
              lambda a=cls._nums: chow._convolve(a, tangent._nums), None),
             ({"op": "cap", "operands": operands, "n": n}, lambda c=cls: tangent.cap(c), None),
         ]
+    for operands, lam in (("one-piece", 1), ("dense-narrow", 1), ("dense-narrow", Fraction(-5, 3))):
+        rows.append(({"op": "twist", "operands": operands, "lambda": str(lam), "n": n},
+                     lambda c=classes[operands], b=chow.LineBundleOnPn(lam): c.twist(b, n - 1),
+                     None))
+    rows.append(({"op": "mul", "operands": "c(TP^n)", "n": n}, lambda: tangent * tangent, None))
 
     raw = []  # the arguments div_linear hands to _reduce, caught once
     reduce = chow.GradedClass._reduce
@@ -121,7 +131,7 @@ def kernel_rows(chow, n, data) -> list[tuple]:
     m, nums, den = raw[0]
     rows.append(({"op": "_reduce", "operands": "div_linear 24/7", "n": n},
                  lambda: chow.GradedClass._reduce(m, nums, den), None))
-    return rows
+    return [({**row, "sha256": wire_sha256(call())}, call, None) for row, call, _ in rows]
 
 
 def route_rows(cc, n, data, wire) -> list[tuple]:
