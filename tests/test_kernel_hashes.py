@@ -68,7 +68,7 @@ def vector(n, bits, zeros=0) -> list[int]:
 
 
 def edge_calls() -> dict:
-    """"op n zeros bits ...": the call, for every pinned row at a path rule's edge."""
+    """The call of each pinned row at an edge of a path rule, by its key."""
     calls = {}
     for n, zeros, bits_a, bits_b in [
         (11, 0, 14, 14), (12, 0, 14, 14), (63, 0, 14, 14), (64, 0, 14, 14),

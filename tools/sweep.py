@@ -16,9 +16,8 @@ script.  For each n in ``SIZES`` the file holds the median
   and of the dense-narrow class at lambda = 1 and -5/3, and ``HSeries.__mul__``
   of c(TP^n) by itself;
 * ``_reduce`` of the raw result of ``div_linear`` at lambda = 24/7 on the
-  dense-narrow class,
-
-  each with the SHA-256 of its wire output;
+  dense-narrow class; each of these layer-1 rows holds the SHA-256 of its
+  wire output;
 * every formula route on ``sparse`` polar data (only P_0 and P_1 nonzero)
   and on ``dense`` polar data (every P_k nonzero), with the SHA-256 of the
   route's wire output, which two trees that compute the same answers
