@@ -52,6 +52,7 @@ from .chow import (
     _digits,
     _encode,
     _gather,
+    _pair,
     _wire,
 )
 from .errors import (
@@ -62,6 +63,14 @@ from .errors import (
     UnderdeterminedSystemError,
     ValidationError,
 )
+
+
+def _check_weights(chi_less_one, chi_less_eu):
+    """Refuse chi = 1, then chi = Eu, from chi - 1 and chi - Eu or any multiples of them."""
+    if not chi_less_one:
+        raise DegenerateInvariantsError("chi = 1 makes rho/sigma undefined")
+    if not chi_less_eu:
+        raise DegenerateInvariantsError("chi = Eu makes rho/sigma undefined")
 
 
 def _check_type(value, kind, what):
@@ -86,11 +95,7 @@ class InvariantData(_Value):
     def __init__(self, chi, eu):
         chi, eu = as_rational(chi), as_rational(eu)
         (a, b), (c, e) = chi.as_integer_ratio(), eu.as_integer_ratio()
-        if a == b:
-            raise DegenerateInvariantsError("chi = 1 makes rho/sigma undefined")
-        det = a * e - c * b
-        if not det:
-            raise DegenerateInvariantsError("chi = Eu makes rho/sigma undefined")
+        _check_weights(a - b, det := a * e - c * b)
         self._init(chi, eu, Fraction((e - c) * b, det), Fraction((a - b) * e, det))
 
     def to_json(self) -> dict:  # shared with BundleData: each field by _encode
@@ -118,7 +123,7 @@ class BundleData(_Value):
 
     @classmethod
     def line(cls, ambient_dim: int, degree) -> "BundleData":
-        return cls(1, LineBundleOnPn(as_rational(degree)).chern(ambient_dim))
+        return cls(1, LineBundleOnPn(degree).chern(ambient_dim))
 
     def dual(self) -> "BundleData":
         """Dual bundle: c_k(E*) = (-1)^k c_k(E)."""
@@ -181,6 +186,7 @@ class HypersurfaceSpec(_Value):
     """
 
     _fields = ("n", "r", "d", "polar", "ambient_tangent")
+    _O1 = LineBundleOnPn(1)  # the twist of every total polar class
 
     def __init__(self, n, r, d, polar, ambient_tangent=None):
         self._fill(n, r, d, _polar_entries(polar), ambient_tangent)
@@ -231,7 +237,7 @@ class HypersurfaceSpec(_Value):
     @cached_property
     def _total_polar(self) -> GradedClass:  # read by total_polar_class
         gathered = GradedClass._reduce(self.n, (0,) * (self.n - self.r) + self._signed, self._den)
-        return gathered.twist(LineBundleOnPn(Fraction(1)), self.n)
+        return gathered.twist(self._O1, self.n)
 
     @cached_property
     def _mather(self) -> GradedClass:  # read by mather_from_polar, so by csm_from_polar
@@ -280,8 +286,7 @@ def fulton_class(n: int, d) -> GradedClass:
     once by (1 + d*H) in the linear-factor kernel; for smooth X this is the
     total Chern class of X, and its degree-zero part is its Euler characteristic.
     """
-    _check_ambient_dim(n, "n", low=1)
-    d = as_rational(d)
+    _check_ambient_dim(n, "n", low=1)  # d is read by single, then by div_linear
     return tangent_chern(n).cap(GradedClass.single(n, 1, d)).div_linear(d)
 
 
@@ -340,10 +345,11 @@ def interpolated_class(
     so that _check_dim refuses either class as c_Ma - c_F would.  Defined for
     every rational alpha; alpha = 0 returns c_Ma and alpha = 1 returns c_F exactly.
     """
-    lam = (alpha := as_rational(alpha)) * as_rational(d)
+    (p, q), (r, s) = _pair(alpha), _pair(d)
     if not isinstance(c_mather, (GradedClass, HSeries)):  # it has no _check_dim to refuse it
         raise ValidationError(f"c_mather must be a GradedClass, got {type(c_mather).__name__}")
-    return c_fulton + GradedClass._div_linear_sum(c_mather, 1 - alpha, c_fulton, alpha - 1, lam)
+    lam = p * r, q * s
+    return c_fulton + GradedClass._div_linear_sum(c_mather, (q - p, q), c_fulton, (p - q, q), lam)
 
 
 def csm_from_interpolation(
@@ -368,7 +374,9 @@ def csm_from_polar(spec: HypersurfaceSpec, inv: InvariantData) -> GradedClass:
     _check_type(spec, HypersurfaceSpec, "spec")
     _check_type(inv, InvariantData, "inv")
     virtual = (spec.ambient_tangent or tangent_chern(spec.n)).cap(spec.fundamental_class)
-    return virtual._div_linear_sum(inv.rho, mather_from_polar(spec), inv.sigma, inv.rho * spec.d)
+    (p, q), (r, s) = inv.rho.as_integer_ratio(), spec.d.as_integer_ratio()
+    sigma = inv.sigma.as_integer_ratio()
+    return virtual._div_linear_sum((p, q), mather_from_polar(spec), sigma, (p * r, q * s))
 
 
 def segre_ym_to_yx(s_ym: GradedClass, d, inv: InvariantData) -> GradedClass:
@@ -376,11 +384,12 @@ def segre_ym_to_yx(s_ym: GradedClass, d, inv: InvariantData) -> GradedClass:
 
         s(Y,X) = ((chi - Eu)/(chi - 1) + X) . s(Y,M)  =  (1/sigma + X) . s(Y,M),
 
-    one multiplication in the linear-factor kernel.
+    one multiplication in the linear-factor kernel, 1/sigma read as a pair.
     """
     _check_type(s_ym, GradedClass, "s_ym")
     _check_type(inv, InvariantData, "inv")
-    return s_ym.mul_linear(1 / inv.sigma, d)
+    p, q = inv.sigma.as_integer_ratio()
+    return s_ym._mul_linear((q, p) if p > 0 else (-q, -p), _pair(d))
 
 
 def segre_yx_to_ym(s_yx: GradedClass, d, inv: InvariantData) -> GradedClass:
@@ -388,7 +397,8 @@ def segre_yx_to_ym(s_yx: GradedClass, d, inv: InvariantData) -> GradedClass:
     pass of the linear-factor kernel, the scaling by sigma folded in."""
     _check_type(s_yx, GradedClass, "s_yx")
     _check_type(inv, InvariantData, "inv")
-    return s_yx._div_linear_sum(inv.sigma, s_yx, 0, inv.sigma * as_rational(d))
+    (p, q), (r, s) = inv.sigma.as_integer_ratio(), _pair(d)
+    return s_yx._div_linear_sum((p, q), s_yx, (0, 1), (p * r, q * s))
 
 
 def mather_from_segre(s_yx: GradedClass, n: int, d) -> GradedClass:
@@ -465,14 +475,14 @@ def solve_invariants(
     Solved on integers: with d = p/q and c_y, lhs over their common
     denominators dy, dl, every row is scaled by q*dy*dl.  The system is
     bidiagonal: the first row k0 with c_y[k0] != 0 gives u, row k0+1 gives
-    v, so the rank is 2 exactly when d != 0 and k0 < n.
+    v, so the rank is 2 exactly when d != 0 and k0 < n; u = u_det/det and
+    v = v_det/det are checked for degeneracy on those integers.
     """
     _check_type(lhs, GradedClass, "lhs")
     _check_type(c_y, GradedClass, "c_y")
     if lhs.ambient_dim != c_y.ambient_dim:
         raise DimensionMismatchError("solver inputs disagree on P^n")
-    d = as_rational(d)
-    p, q = d.numerator, d.denominator
+    p, q = _pair(d)
     ys, dy = c_y._nums, c_y._den
     ls, dl = lhs._nums, lhs._den
     # Row k:  u * c_y[k] + v * d * c_y[k-1]  =  lhs[k], times q*dy*dl
@@ -495,11 +505,8 @@ def solve_invariants(
             raise InconsistentSystemError(
                 "class data is not consistent with constant (Eu, chi)"
             )
-    u, v = Fraction(u_det, det), Fraction(v_det, det)
-    eu = v + 1
-    chi = eu - u
-    InvariantData(chi, eu)  # reject chi = 1 and chi = Eu
-    return eu, chi
+    _check_weights(v_det - u_det, u_det)  # chi - 1 = v - u and chi - Eu = -u, times det
+    return Fraction(v_det + det, det), Fraction(v_det + det - u_det, det)
 
 
 def exceptional_multiplicities(
@@ -515,6 +522,5 @@ def exceptional_multiplicities(
     if _check_int(dim_x, "dim X") <= _check_int(dim_y, "dim Y'"):
         raise ValidationError("need dim X > dim Y' >= 0")
     sign = (-1) ** (dim_x - dim_y)
-    chi = as_rational(chi)
-    eu = as_rational(eu)
+    chi, eu = as_rational(chi), as_rational(eu)
     return sign * (chi - 1), sign * (chi - eu)

@@ -5,7 +5,8 @@ its cohomology is Q[H]/(H^{n+1}) with H the hyperplane class.  Both are
 stored as dense coefficient vectors of integer numerators over one
 denominator, so every operation is a truncated polynomial product on
 integers and all results are exact: re-running a computation yields
-bit-identical rationals.  ``Fraction`` appears only at the edges.
+bit-identical rationals.  Kernels read rational scalars as integer pairs
+(``_pair``), and ``Fraction`` appears only at the edges.
 
 Grading convention: :class:`GradedClass` stores the coefficient of
 [P^{n-k}] at index k, i.e. classes are indexed by *codimension* in P^n.
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 
 from .errors import (
     DimensionMismatchError,
@@ -73,9 +74,16 @@ def as_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if _is_int(value) or isinstance(value, str):
+    if _is_int(value):
+        return Fraction(value)
+    if isinstance(value, str):
         return parse_rational(value)
     raise ValidationError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _pair(value) -> tuple[int, int]:
+    """(p, q), q > 0 in lowest terms, of what as_rational reads; an int builds no Fraction."""
+    return (value, 1) if _is_int(value) else as_rational(value).as_integer_ratio()
 
 
 def _int(digits: str) -> int:
@@ -342,8 +350,10 @@ def _rowed_twist(nums, e, p, q) -> list[int]:
 
 
 def _alternate(coeffs, shift=0) -> tuple:
-    """Negate the entries at indices k with k + shift odd."""
-    return tuple(a if (k + shift) % 2 == 0 else -a for k, a in enumerate(coeffs))
+    """Negate the entries at indices k with k + shift odd, by one slice assignment."""
+    out, odd = list(coeffs), slice(1 - shift % 2, None, 2)
+    out[odd] = map(neg, out[odd])
+    return tuple(out)
 
 
 class _Value:
@@ -424,7 +434,7 @@ class _CoeffVector(_Value):
         the rest, while from entry 0 up it stays a power of q for about n steps."""
         g = gcd(den, nums[-1], *nums)
         obj = cls.__new__(cls)
-        obj._fill(n, tuple(nums) if g == 1 else tuple(x // g for x in nums), den // g)
+        obj._fill(n, tuple(nums) if g == 1 else tuple([x // g for x in nums]), den // g)
         return obj
 
     def _validate(self):
@@ -446,10 +456,9 @@ class _CoeffVector(_Value):
     @classmethod
     def from_coeffs(cls, ambient_dim, values):
         """Build from coefficients by index, padding with integer zeros and discarding
-        indices above n: only the given entries are coerced, an int (not a bool) as (v, 1)."""
+        indices above n: only the given entries are read, each by _pair."""
         n = _check_ambient_dim(ambient_dim, "ambient_dim")
-        nums, den = _gather([(v, 1) if _is_int(v) else as_rational(v).as_integer_ratio()
-                             for v in islice(values, n + 1)])
+        nums, den = _gather([*map(_pair, islice(values, n + 1))])
         return cls._reduce(n, nums + [0] * (n + 1 - len(nums)), den)
 
     def _check_dim(self, other, kind=None):
@@ -478,9 +487,8 @@ class _CoeffVector(_Value):
         return self._reduce(self.ambient_dim, [-x for x in self._nums], self._den)
 
     def _scale(self, scalar):
-        s = as_rational(scalar)
-        nums = [s.numerator * x for x in self._nums]
-        return self._reduce(self.ambient_dim, nums, self._den * s.denominator)
+        p, q = _pair(scalar)
+        return self._reduce(self.ambient_dim, [p * x for x in self._nums], self._den * q)
 
     def _to_json(self) -> dict:
         nums, den = self._nums, self._den  # an integer class is written with no gcd
@@ -643,7 +651,7 @@ class GradedClass(_CoeffVector):
             raise ValidationError(
                 f"codimension {codim} out of range on P^{ambient_dim}"
             )
-        p, q = as_rational(value).as_integer_ratio()
+        p, q = _pair(value)
         return cls._reduce(ambient_dim, [0] * codim + [p] + [0] * (ambient_dim - codim), q)
 
     def is_zero(self) -> bool:
@@ -683,39 +691,40 @@ class GradedClass(_CoeffVector):
         path = _twist_path(self._nums, e, p, q)
         return GradedClass._reduce(n, path(self._nums, e, p, q), self._den * q**n)
 
-    # The linear-factor kernel: cap with (a + b*H), or a sum of two classes
-    # with 1/(1 + lam*H), in O(n) on numerators N_k over a denominator den.
+    # The linear-factor kernel: cap with (a + b*H), or a sum of two classes with
+    # 1/(1 + lam*H), in O(n) on numerators N_k over den, for scalars as pairs.
 
     def mul_linear(self, a, b) -> "GradedClass":
-        """The class capped with (a + b*H): with a = A/q and b = B/q,
-        entry k is (A*N_k + B*N_(k-1)) / (den*q)."""
-        (na, nb), q = _gather([as_rational(x).as_integer_ratio() for x in (a, b)])
-        nums = self._nums
-        out = [na * x + nb * y for x, y in zip(nums, (0,) + nums)]
+        """The class capped with (a + b*H), a and b read by _pair."""
+        return self._mul_linear(_pair(a), _pair(b))
+
+    def _mul_linear(self, a, b) -> "GradedClass":  # with a = A/q and b = B/q for pairs a, b,
+        (na, nb), q = _gather([a, b])  # entry k is (A*N_k + B*N_(k-1)) / (den*q)
+        out = [na * x + nb * y for x, y in zip(self._nums, (0,) + self._nums)]
         return GradedClass._reduce(self.ambient_dim, out, self._den * q)
 
     def div_linear(self, lam) -> "GradedClass":
         """The class capped with 1/(1 + lam*H): _div_linear_sum with b = 0."""
-        return self._div_linear_sum(1, self, 0, lam)
+        return self._div_linear_sum((1, 1), self, (0, 1), _pair(lam))
 
     def _div_linear_sum(self, a, other, b, lam) -> "GradedClass":
-        """(a*self + b*other) capped with 1/(1 + lam*H), for rationals a and b, by
+        """(a*self + b*other) capped with 1/(1 + lam*H), for pairs a, b and lam, by
         one _reduce: the sum is X_k/D over the least common D of a/den and b/den',
-        and Y_k = X_k/D - lam*Y_(k-1) is C_k/(D*q^n) for lam = p/q and the integers
-        C_k = X_k*q^n - p*C_(k-1)/q, exact since C_(k-1) carries q^(n-k+1)."""
+        and Y_k = X_k/D - lam*Y_(k-1) is C_k/(D*q^n) for lam = p/q in lowest terms and
+        the integers C_k = X_k*q^n - p*C_(k-1)/q, exact since C_(k-1) carries q^(n-k+1)."""
         self._check_dim(other)
-        p, q = as_rational(lam).as_integer_ratio()
+        (pa, qa), (pb, qb), (p, q) = a, b, lam
+        p, q = p // (g := gcd(p, q)), q // g  # a route's product of two pairs: q^n stays small
         n, nums, den = self.ambient_dim, self._nums, self._den
-        if b:  # X_k in one pass, and a = 1; with b = 0, X_k = a*N_k in the recurrence
-            pairs = [(a.numerator, a.denominator * den), (b.numerator, b.denominator * other._den)]
-            (ta, tb), den = _gather(pairs)
-            nums, a = [ta * x + tb * y for x, y in zip(nums, other._nums)], 1
+        if pb:  # X_k in one pass, and a = 1; with b = 0, X_k = a*N_k in the recurrence
+            (ta, tb), den = _gather([(pa, qa * den), (pb, qb * other._den)])
+            nums, pa, qa = [ta * x + tb * y for x, y in zip(nums, other._nums)], 1, 1
         qn, out, c = q**n, [], 0
-        scale = a.numerator * qn
+        scale = pa * qn
         for x in nums:
             c = x * scale - p * c // q
             out.append(c)
-        return GradedClass._reduce(n, out, den * a.denominator * qn)
+        return GradedClass._reduce(n, out, den * qa * qn)
 
     def degree_zero_part(self) -> Fraction:
         """Coefficient of the point class [P^0]."""

@@ -19,6 +19,7 @@ from csmcalc.chow import (
     HSeries,
     LineBundleOnPn,
     _convolve,
+    _pair,
     _wire,
     as_rational,
     format_rational,
@@ -848,7 +849,7 @@ class TestTwoClassLinearFactorKernel:
     @example((C(2, 0, 0, 0), F(2), C(2, 1, F(1, 3), 0), F(0), F(1, _WIDE_Q)))
     def test_matches_sum_then_division(self, case):
         a_cls, a, b_cls, b, lam = case
-        got = a_cls._div_linear_sum(a, b_cls, b, lam)
+        got = a_cls._div_linear_sum(_pair(a), b_cls, _pair(b), _pair(lam))
         total = a_cls * a + b_cls * b
         n = a_cls.ambient_dim
         for want in (total.div_linear(lam), LineBundleOnPn(lam).chern(n, -1).cap(total)):
@@ -858,13 +859,14 @@ class TestTwoClassLinearFactorKernel:
     def test_one_class_case_is_div_linear(self):
         cls = C(4, F(1, 3), 0, -5, F(7, 2), 11)
         for lam in _DEGREES:
-            assert cls.div_linear(lam) == cls._div_linear_sum(1, cls, 0, lam)
-            assert cls._div_linear_sum(F(-2, 9), cls, 0, lam) == (cls * F(-2, 9)).div_linear(lam)
+            assert cls.div_linear(lam) == cls._div_linear_sum((1, 1), cls, (0, 1), _pair(lam))
+            got = cls._div_linear_sum((-2, 9), cls, (0, 1), _pair(lam))
+            assert got == (cls * F(-2, 9)).div_linear(lam)
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_other_class_on_another_pn_is_refused(self, m):
         with pytest.raises(DimensionMismatchError, match=f"ambient dimensions differ: 3 vs {m}"):
-            C(3, 1, 2, 3, 4)._div_linear_sum(1, GradedClass.zero(m), 1, 2)
+            C(3, 1, 2, 3, 4)._div_linear_sum((1, 1), GradedClass.zero(m), (1, 1), (2, 1))
 
 
 class TestDualAndTwist:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from route_data import SIZES, draws, wire_sha256
 
-from csmcalc.chow import GradedClass, HSeries, LineBundleOnPn
+from csmcalc.chow import GradedClass, HSeries, LineBundleOnPn, _pair
 
 LAMBDAS = (Fraction(4), Fraction(24, 7), Fraction(-5, 3), Fraction(0))
 WEIGHTS = ((Fraction(-3, 5), Fraction(3, 5)), (Fraction(1, 3), Fraction(2, 3)))
@@ -118,7 +118,8 @@ def test_one_pass_kernel_gives_the_pinned_sums():
         a_cls, b_cls = operands(n)
         for lam in LAMBDAS:
             for a, b in WEIGHTS:
-                got[f"sum {a},{b} {lam} {n}"] = wire_sha256(a_cls._div_linear_sum(a, b_cls, b, lam))
+                got[f"sum {a},{b} {lam} {n}"] = wire_sha256(
+                    a_cls._div_linear_sum(_pair(a), b_cls, _pair(b), _pair(lam)))
     assert len(got) == 56
     assert [key for key, sha in got.items() if pinned[key] != sha] == []
 

@@ -156,8 +156,8 @@ def test_two_class_linear_factor_kernel_calls_no_traced_kernel(monkeypatch):
     for attr in ("twist", "dual", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
         monkeypatch.setattr(GradedClass, attr, forbidden)
     monkeypatch.setattr(LineBundleOnPn, "chern", forbidden)
-    assert a._div_linear_sum(F(2, 5), b, F(-7), F(4, 3)) == want
-    assert a._div_linear_sum(F(2, 5), b, 0, F(4, 3)) == one_class
+    assert a._div_linear_sum((2, 5), b, (-7, 1), (4, 3)) == want
+    assert a._div_linear_sum((2, 5), b, (0, 1), (4, 3)) == one_class
 
 
 def test_two_class_linear_factor_kernel_result_is_counted_once():
@@ -168,7 +168,8 @@ def test_two_class_linear_factor_kernel_result_is_counted_once():
     try:
         for weights in ((F(-3, 5), F(3, 5)), (F(2), 0), (0, F(1, 7)), (0, 0)):
             before = tracer.counters["chow.objects_built"]
-            a._div_linear_sum(weights[0], b, weights[1], F(-5, 3))
+            wa, wb = map(chow._pair, weights)
+            a._div_linear_sum(wa, b, wb, (-5, 3))
             assert tracer.counters["chow.objects_built"] == before + 1, weights
     finally:
         tracer.uninstall()
