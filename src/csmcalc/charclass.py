@@ -522,5 +522,5 @@ def exceptional_multiplicities(
     if _check_int(dim_x, "dim X") <= _check_int(dim_y, "dim Y'"):
         raise ValidationError("need dim X > dim Y' >= 0")
     sign = (-1) ** (dim_x - dim_y)
-    chi, eu = as_rational(chi), as_rational(eu)
-    return sign * (chi - 1), sign * (chi - eu)
+    (a, b), (c, e) = _pair(chi), _pair(eu)  # chi = a/b, Eu = c/e
+    return Fraction(sign * (a - b), b), Fraction(sign * (a * e - c * b), b * e)

@@ -78,11 +78,20 @@ def test_route_builds_no_fraction(built, case):
     assert built[0] - before == 0
 
 
-def test_solver_builds_only_its_two_answers(built):
+ANSWERS = {  # name: (call, its two answers)
+    "solve_invariants": (lambda: cc.solve_invariants(LHS, C_Y, D), (INV.eu, INV.chi)),
+    "exceptional_multiplicities": (
+        lambda: cc.exceptional_multiplicities(INV.chi, INV.eu, 3, 1), (F(-2), F(-3))),
+}
+
+
+@pytest.mark.parametrize("case", ANSWERS.values(), ids=ANSWERS.keys())
+def test_builds_only_its_two_answers(built, case):
+    call, answers = case
     before = built[0]
-    eu, chi = cc.solve_invariants(LHS, C_Y, D)
+    got = call()
     assert built[0] - before == 2
-    assert (eu, chi) == (INV.eu, INV.chi)
+    assert got == answers
 
 
 def test_the_count_sees_fraction_arithmetic(built):
