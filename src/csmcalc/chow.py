@@ -82,8 +82,8 @@ def as_rational(value) -> Fraction:
 
 
 def _pair(value) -> tuple[int, int]:
-    """(p, q), q > 0 in lowest terms, of what as_rational reads; an int builds no Fraction."""
-    return (value, 1) if _is_int(value) else as_rational(value).as_integer_ratio()
+    """(p, q), q > 0 in lowest terms: an int or Fraction as it is, else as as_rational reads it."""
+    return (value if type(value) in (int, Fraction) else as_rational(value)).as_integer_ratio()
 
 
 def _int(digits: str) -> int:

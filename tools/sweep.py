@@ -40,12 +40,11 @@ ROUNDS rounds, and the file holds each engine's best sample
 best_ns``: above 1 where the engine of ``--src`` is faster) and whether
 the two answers' hashes agree.  Two sweeps run one after the other can
 read a row on an untouched path up to 1.6x apart, because the machine's
-speed drifts between them; samples taken in turn share the drift.  A row
-faster than FAST_NS is timed so in FAST_PASSES passes over all such rows,
-and its ratio is the median of the passes' ratios (``passes`` in the
-row): one pass of ROUNDS rounds read rows of 20-40 us 0.73-1.19 across
-five sweeps of the same two trees, while the drift of a few seconds
-moves only the passes it falls in.
+speed drifts between them; samples taken in turn share the drift.  The
+rows are timed so in PASSES passes over all rows, and a row's ratio is
+the median of its passes' ratios: in one pass of ROUNDS rounds, rows of 20-40 us read 0.73-1.19 and rows of a few ms
+0.84-1.50 across sweeps of the same two trees, while a drift of a few
+seconds moves only the passes it falls in.
 
 A route that reads a class cached on the spec gets a fresh spec for each
 call, built outside the timer, so its time includes building that class.
@@ -54,7 +53,8 @@ makes PASSES passes over all rows, and a row's figure is the median of
 its passes' medians: a slow stretch moves one pass of each row it
 touches.  The file also records the Python version,
 ``sys.dont_write_bytecode`` and the processor.  Stdlib only; not part of
-the test suite or CI.  A sweep takes about half a minute.
+the test suite or CI.  A sweep takes about half a minute, and one with
+``--against`` about two minutes.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ from scenario_data import BENCHED, report_sha256  # noqa: E402
 
 PASSES = 7
 ROUNDS = 15  # samples of each engine per row and pass with --against
-FAST_NS, FAST_PASSES = 100_000, 7  # with --against, a row below FAST_NS takes FAST_PASSES passes
 BUDGET_NS = 40_000_000  # samples of a row in one pass stop after this much timed work ...
 LEAST, MOST = 3, 21  # ... once there are LEAST of them, and at MOST
 BATCH_NS = 20_000  # a call faster than this is timed in batches of about this length
@@ -235,23 +234,16 @@ def main(argv=None) -> int:
     timed = all_rows(load(args.src.resolve(), "csmcalc"))
     if args.against:
         pairs = list(zip(timed, all_rows(load(args.against.resolve(), "csmcalc_against"))))
-        got = []  # per row, each pass's (best, against)
-        for k, ((_, *ours), (_, *theirs)) in enumerate(pairs):
-            got.append([best_pair_ns(ours, theirs)])
-            if k % 40 == 39:
-                print(f"row {k + 1} of {len(pairs)}", file=sys.stderr)
-        fast = [k for k, [(best, _)] in enumerate(got) if best < FAST_NS]
-        for p in range(1, FAST_PASSES):
-            for k in fast:
-                (_, *ours), (_, *theirs) = pairs[k]
-                got[k].append(best_pair_ns(ours, theirs))
-            print(f"pass {p + 1} of {FAST_PASSES} over {len(fast)} fast rows", file=sys.stderr)
+        got = [[] for _ in pairs]  # per row, each pass's (best, against)
+        for k in range(PASSES):
+            for ((_, *ours), (_, *theirs)), passes in zip(pairs, got):
+                passes.append(best_pair_ns(ours, theirs))
+            print(f"pass {k + 1} of {PASSES}", file=sys.stderr)
         rows = []
         for ((row, *_), (other, *_)), passes in zip(pairs, got):
             rows.append({**row, "best_ns": min(b for b, _ in passes),
                          "against_best_ns": min(a for _, a in passes),
-                         "ratio": round(statistics.median(a / b for b, a in passes), 3),
-                         "passes": len(passes)})
+                         "ratio": round(statistics.median(a / b for b, a in passes), 3)})
             if "sha256" in row:
                 rows[-1]["same_sha256"] = row["sha256"] == other["sha256"]
     else:
@@ -273,7 +265,7 @@ def main(argv=None) -> int:
         "processor": processor(),
         "cpu_count": os.cpu_count(),
         "sizes": list(SIZES),
-        **({"rounds_against": ROUNDS, "fast_ns": FAST_NS} if args.against else {}),
+        **({"rounds_against": ROUNDS, "passes_against": PASSES} if args.against else {}),
         "rows": rows,
     }, indent=1) + "\n")
     print(out.name)
