@@ -186,7 +186,7 @@ class HypersurfaceSpec(_Value):
     """
 
     _fields = ("n", "r", "d", "polar", "ambient_tangent")
-    _O1 = LineBundleOnPn(1)  # the twist of every total polar class
+    _O1 = LineBundleOnPn(1)  # one O(1) for the twist of every total polar class
 
     def __init__(self, n, r, d, polar, ambient_tangent=None):
         self._fill(n, r, d, _polar_entries(polar), ambient_tangent)
@@ -345,7 +345,7 @@ def interpolated_class(
     so that _check_dim refuses either class as c_Ma - c_F would.  Defined for
     every rational alpha; alpha = 0 returns c_Ma and alpha = 1 returns c_F exactly.
     """
-    (p, q), (r, s) = _pair(alpha), _pair(d)
+    (p, q), (r, s) = _pair(alpha), _pair(d)  # alpha = p/q, d = r/s
     if not isinstance(c_mather, (GradedClass, HSeries)):  # it has no _check_dim to refuse it
         raise ValidationError(f"c_mather must be a GradedClass, got {type(c_mather).__name__}")
     lam = p * r, q * s
@@ -374,7 +374,7 @@ def csm_from_polar(spec: HypersurfaceSpec, inv: InvariantData) -> GradedClass:
     _check_type(spec, HypersurfaceSpec, "spec")
     _check_type(inv, InvariantData, "inv")
     virtual = (spec.ambient_tangent or tangent_chern(spec.n)).cap(spec.fundamental_class)
-    (p, q), (r, s) = inv.rho.as_integer_ratio(), spec.d.as_integer_ratio()
+    (p, q), (r, s) = inv.rho.as_integer_ratio(), spec.d.as_integer_ratio()  # rho = p/q, d = r/s
     sigma = inv.sigma.as_integer_ratio()
     return virtual._div_linear_sum((p, q), mather_from_polar(spec), sigma, (p * r, q * s))
 
@@ -397,7 +397,7 @@ def segre_yx_to_ym(s_yx: GradedClass, d, inv: InvariantData) -> GradedClass:
     pass of the linear-factor kernel, the scaling by sigma folded in."""
     _check_type(s_yx, GradedClass, "s_yx")
     _check_type(inv, InvariantData, "inv")
-    (p, q), (r, s) = inv.sigma.as_integer_ratio(), _pair(d)
+    (p, q), (r, s) = inv.sigma.as_integer_ratio(), _pair(d)  # sigma = p/q, d = r/s
     return s_yx._div_linear_sum((p, q), s_yx, (0, 1), (p * r, q * s))
 
 
