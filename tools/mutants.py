@@ -77,13 +77,18 @@ _READ_PATH = ("speed only: an entry of at most _MAX_DIGITS digits reads to the s
 _WIDER_SLOT = "speed only: a packed slot wider than the fewest bytes holds every entry just as well"
 _AT_ZERO = ("speed only: c = n - r + k is 0 only when r >= n, and the list reader gives "
             "that class, or refusal, just as the one literal does")
+_ZERO_PAIR = "a pair (0, q) is 0 for every q > 0, and the kernel tests b by its numerator alone"
 
 # Survivors that compute exactly what the original computes, by (file,
 # function, source of the mutated node, mutation, how many earlier sites of
 # the function share that source and mutation).
 EQUIVALENT = {
-    ("chow.py", "_alternate", "k + shift", "+ → -", 0):
-        "parity: k + shift and k - shift are both even or both odd",
+    ("chow.py", "GradedClass.div_linear", "(0, 1)", "1 → 2", 0): _ZERO_PAIR,
+    ("charclass.py", "segre_yx_to_ym", "(0, 1)", "1 → 2", 0): _ZERO_PAIR,
+    ("charclass.py", "segre_ym_to_yx", "p > 0", "> → >=", 0):
+        "sigma = p/q is never 0, since chi = 1 is refused, so p > 0 and p >= 0 agree",
+    ("charclass.py", "segre_ym_to_yx", "p > 0", "0 → 1", 0):
+        "the sign moves to keep q > 0, and _gather's lcm reads (-q, -1) as it reads (q, 1)",
     ("chow.py", "GradedClass.dual", "self._relative_dim(relative_dim) - n", "- → +", 0):
         "parity: _alternate reads only the parity of shift, and m - n and m + n share it",
     ("charclass.py", "exceptional_multiplicities", "dim_x - dim_y", "- → +", 0):
